@@ -21,6 +21,7 @@ from .classify import (
     knn_predict,
 )
 from .dataset import (
+    AnalysisSpec,
     GenreLabel,
     GenreSummary,
     LabeledDataset,

@@ -44,7 +44,7 @@ class AudioBuffer:
         return len(self.samples) / self.sample_rate_hz
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessSpec:
     """Targets for the preprocessing chain."""
 

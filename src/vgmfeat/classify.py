@@ -147,11 +147,12 @@ def knn_predict(model: KnnModel, x: np.ndarray) -> GenreLabel:
     return GenreLabel(int(tied[0]))
 
 
-def _report(model: KnnModel, ds: LabeledDataset, indices) -> EvalReport:
+def _report(ds: LabeledDataset, indices, model_for) -> EvalReport:
+    """Predict row i of ds with model_for(i) for every i in indices."""
     confusion = np.zeros((len(GenreLabel), len(GenreLabel)), dtype=int)
     per_item = []
     for i in indices:
-        predicted = knn_predict(model, ds.matrix[i])
+        predicted = knn_predict(model_for(i), ds.matrix[i])
         true = GenreLabel(int(ds.labels[i]))
         confusion[int(true), int(predicted)] += 1
         per_item.append((ds.track_ids[i], true.token, predicted.token))
@@ -194,7 +195,7 @@ def evaluate_split(
     """Train on a stratified split, report accuracy/confusion on the held-out rows."""
     train_idx, test_idx = stratified_split(ds.labels, test_fraction, seed)
     model = fit_knn(ds.matrix[train_idx], ds.labels[train_idx], k)
-    return _report(model, ds, test_idx)
+    return _report(ds, test_idx, lambda i: model)
 
 
 def evaluate_loocv(ds: LabeledDataset, k: int = 3) -> EvalReport:
@@ -202,14 +203,9 @@ def evaluate_loocv(ds: LabeledDataset, k: int = 3) -> EvalReport:
     n = len(ds)
     if n < 2:
         raise ValueError(f"need at least 2 tracks for leave-one-out, got {n}")
-    confusion = np.zeros((len(GenreLabel), len(GenreLabel)), dtype=int)
-    per_item = []
-    for i in range(n):
+
+    def model_for(i):
         keep = np.arange(n) != i
-        model = fit_knn(ds.matrix[keep], ds.labels[keep], k)
-        predicted = knn_predict(model, ds.matrix[i])
-        true = GenreLabel(int(ds.labels[i]))
-        confusion[int(true), int(predicted)] += 1
-        per_item.append((ds.track_ids[i], true.token, predicted.token))
-    accuracy = float(np.trace(confusion)) / confusion.sum()
-    return EvalReport(accuracy, confusion, per_item)
+        return fit_knn(ds.matrix[keep], ds.labels[keep], k)
+
+    return _report(ds, range(n), model_for)

@@ -6,29 +6,32 @@ produced files; reruns with the same inputs and flags are byte-identical.
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
-from .audio_io import PreprocessSpec, decode_wav, encode_wav, preprocess
+from .audio_io import PreprocessSpec, encode_wav
 from .classify import evaluate_loocv, evaluate_split
 from .dataset import (
+    AnalysisSpec,
     extract_track,
     feature_table_json,
     frame_series_csv,
     load_manifest,
+    process_track,
     read_feature_table_csv,
     select_features,
     summarize_by_genre,
+    track_path,
     write_feature_table_csv,
     write_genre_summary_csv,
-    LabeledDataset,
 )
-from .errors import TrackError, VgmfeatError
+from .errors import VgmfeatError
 from .spectral import StftParams
 from . import synth
 
@@ -40,47 +43,31 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    manifest_path: str | None
-    output_dir: str
-    preprocess: PreprocessSpec = field(default_factory=PreprocessSpec)
-    stft: StftParams = field(default_factory=StftParams)
-    n_mfcc: int = 13
-    n_mels: int = 128
-    k: int = 3
-    test_fraction: float = 1.0 / 3.0
-    seed: int = 0
-    protocol: str = "split"
-    feature_subset: list | None = None
-    features_csv: str | None = None
-    jobs: int = 1
-    pad_short: bool = False
-    wav_format: str = "pcm16"
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.manifest_path is None and not (self.command == "classify" and self.features_csv):
-            raise ValueError("classify needs --features-csv or --manifest")
-        if self.protocol not in ("split", "loocv"):
-            raise ValueError(f"protocol must be split or loocv, got {self.protocol!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0 < self.test_fraction < 1:
-            raise ValueError(f"test-fraction must be in (0, 1), got {self.test_fraction}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.wav_format not in ("pcm16", "float32"):
-            raise ValueError(f"wav-format must be pcm16 or float32, got {self.wav_format!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _checked(convert, ok, rule):
+    """argparse type= converter that also rejects values outside `rule`."""
+
+    def check(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return check
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_open_unit = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+
+
+def _default_of(fn, name):
+    return inspect.signature(fn).parameters[name].default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,29 +78,36 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, manifest_required=True):
         p.add_argument("--manifest", required=manifest_required, help="track manifest CSV (path,game,genre,title)")
         p.add_argument("--out", default=os.environ.get(OUT_DIR_ENV), help=f"output directory (default ${OUT_DIR_ENV})")
-        p.add_argument("--peak-dbfs", type=float, default=-5.0, help="normalization target peak (default -5)")
-        p.add_argument("--clip-seconds", type=float, default=15.0, help="center clip length (default 15)")
-        p.add_argument("--sample-rate", type=int, default=48000, help="analysis sample rate (default 48000)")
+        p.add_argument("--peak-dbfs", type=float, default=PreprocessSpec.target_peak_dbfs,
+                       help="normalization target peak (default %(default)s)")
+        p.add_argument("--clip-seconds", type=float, default=PreprocessSpec.clip_duration_s,
+                       help="center clip length (default %(default)s)")
+        p.add_argument("--sample-rate", type=int, default=PreprocessSpec.target_sample_rate_hz,
+                       help="analysis sample rate (default %(default)s)")
         p.add_argument("--pad-short", action="store_true", help="zero-pad tracks shorter than the clip")
-        p.add_argument("--jobs", type=int, default=1, help="tracks processed concurrently (default 1)")
+        p.add_argument("--jobs", type=_positive_int, default=1, help="tracks processed concurrently (default %(default)s)")
 
     def add_analysis(p):
-        p.add_argument("--n-fft", type=int, default=2048, help="FFT frame length (default 2048)")
-        p.add_argument("--hop", type=int, default=512, help="hop length (default 512)")
-        p.add_argument("--window", default="hann", help="analysis window: hann, hamming, rectangular")
-        p.add_argument("--n-mfcc", type=int, default=13, help="cepstral coefficients kept (default 13)")
-        p.add_argument("--n-mels", type=int, default=128, help="mel bands (default 128)")
+        p.add_argument("--n-fft", type=int, default=StftParams.n_fft, help="FFT frame length (default %(default)s)")
+        p.add_argument("--hop", type=int, default=StftParams.hop, help="hop length (default %(default)s)")
+        p.add_argument("--window", default=StftParams.window, help="analysis window: hann, hamming, rectangular")
+        p.add_argument("--n-mfcc", type=int, default=AnalysisSpec.n_mfcc,
+                       help="cepstral coefficients kept (default %(default)s)")
+        p.add_argument("--n-mels", type=int, default=AnalysisSpec.n_mels, help="mel bands (default %(default)s)")
 
     def add_knn(p):
-        p.add_argument("--k", type=int, default=3, help="KNN neighbor count (default 3)")
-        p.add_argument("--test-fraction", type=float, default=1.0 / 3.0, help="held-out fraction per class (default 1/3)")
-        p.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
+        p.add_argument("--k", type=_positive_int, default=_default_of(evaluate_split, "k"),
+                       help="KNN neighbor count (default %(default)s)")
+        p.add_argument("--test-fraction", type=_open_unit, default=_default_of(evaluate_split, "test_fraction"),
+                       help="held-out fraction per class (default 1/3)")
+        p.add_argument("--seed", type=int, default=_default_of(evaluate_split, "seed"),
+                       help="split seed (default %(default)s)")
         p.add_argument("--protocol", choices=("split", "loocv"), default="split")
         p.add_argument("--features", help="comma-separated feature families (tempo,zcr,centroid,chroma,mfcc,mfcc_mean,mfcc_range)")
 
     p = sub.add_parser("preprocess", help="write normalized, trimmed WAVs plus a chained manifest")
     add_common(p)
-    p.add_argument("--wav-format", choices=("pcm16", "float32"), default="pcm16")
+    p.add_argument("--wav-format", choices=("pcm16", "float32"), default=_default_of(encode_wav, "sample_format"))
 
     p = sub.add_parser("extract", help="write the per-track feature table (CSV and JSON)")
     add_common(p)
@@ -134,38 +128,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_analysis(p)
     add_knn(p)
 
-    p = sub.add_parser("synth-corpus")
+    # unset flags are left out, so synth.write_corpus supplies their defaults
+    p = sub.add_parser("synth-corpus", argument_default=argparse.SUPPRESS)
     p.add_argument("--out", default=os.environ.get(OUT_DIR_ENV), help="corpus directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--games-per-genre", type=int, default=3)
-    p.add_argument("--tracks-per-game", type=int, default=3)
-    p.add_argument("--duration", type=float, default=20.0, help="track length in seconds (default 20)")
-    p.add_argument("--sample-rate", type=int, default=44100)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--games-per-genre", type=int)
+    p.add_argument("--tracks-per-game", type=int)
+    p.add_argument("--duration", dest="duration_s", type=float, help="track length in seconds")
+    p.add_argument("--sample-rate", dest="sample_rate_hz", type=int)
     return parser
-
-
-def config_from_args(args) -> RunConfig:
-    subset = None
-    if getattr(args, "features", None):
-        subset = [f.strip() for f in args.features.split(",") if f.strip()]
-    return RunConfig(
-        command=args.command,
-        manifest_path=args.manifest,
-        output_dir=args.out,
-        preprocess=PreprocessSpec(args.peak_dbfs, args.clip_seconds, args.sample_rate),
-        stft=StftParams(getattr(args, "n_fft", 2048), getattr(args, "hop", 512), getattr(args, "window", "hann")),
-        n_mfcc=getattr(args, "n_mfcc", 13),
-        n_mels=getattr(args, "n_mels", 128),
-        k=getattr(args, "k", 3),
-        test_fraction=getattr(args, "test_fraction", 1.0 / 3.0),
-        seed=getattr(args, "seed", 0),
-        protocol=getattr(args, "protocol", "split"),
-        feature_subset=subset,
-        features_csv=getattr(args, "features_csv", None),
-        jobs=args.jobs,
-        pad_short=args.pad_short,
-        wav_format=getattr(args, "wav_format", "pcm16"),
-    )
 
 
 def _load_records(manifest_path):
@@ -180,25 +151,6 @@ def _map_tracks(records, worker, jobs):
     return [worker(rec) for rec in records]
 
 
-def _extract_all(cfg: RunConfig, want_series: bool):
-    records, base = _load_records(cfg.manifest_path)
-
-    def worker(rec):
-        return extract_track(
-            rec,
-            cfg.preprocess,
-            cfg.stft,
-            base_dir=base,
-            n_mfcc=cfg.n_mfcc,
-            n_mels=cfg.n_mels,
-            pad_short=cfg.pad_short,
-            return_series=want_series,
-        )
-
-    results = _map_tracks(records, worker, cfg.jobs)
-    return records, results
-
-
 def _write(out_dir: Path, name: str, text_or_bytes, produced: list) -> Path:
     path = out_dir / name
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -210,34 +162,12 @@ def _write(out_dir: Path, name: str, text_or_bytes, produced: list) -> Path:
     return path
 
 
-def _finish(cfg: RunConfig, out_dir: Path, produced: list) -> int:
-    manifest = {"command": cfg.command, "files": produced}
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    for name in produced + ["run_manifest.json"]:
-        print(f"wrote {out_dir / name}")
-    return EXIT_OK
-
-
-def _run_preprocess(cfg: RunConfig, out_dir: Path, produced: list):
-    records, base = _load_records(cfg.manifest_path)
-
-    def worker(rec):
-        path = Path(rec.path)
-        if not path.is_absolute():
-            path = Path(base) / path
-        stage = "read"
-        try:
-            data = path.read_bytes()
-            stage = "decode"
-            buf = decode_wav(data)
-            stage = "preprocess"
-            clip = preprocess(buf, cfg.preprocess, pad_short=cfg.pad_short)
-            stage = "encode"
-            return encode_wav(clip, cfg.wav_format)
-        except (OSError, ValueError, VgmfeatError) as exc:
-            raise TrackError(str(path), stage, exc) from exc
-
-    payloads = _map_tracks(records, worker, cfg.jobs)
+def _run_preprocess(args, pre: PreprocessSpec, out_dir: Path, produced: list):
+    records, base = _load_records(args.manifest)
+    encode = partial(encode_wav, sample_format=args.wav_format)
+    payloads = _map_tracks(
+        records, lambda rec: process_track(track_path(rec, base), pre, args.pad_short, "encode", encode), args.jobs
+    )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["path", "game", "genre", "title"])
@@ -248,122 +178,90 @@ def _run_preprocess(cfg: RunConfig, out_dir: Path, produced: list):
     _write(out_dir, "manifest.csv", out.getvalue(), produced)
 
 
-def _feature_rows(records, feats_list):
-    return [(rec.path, feats, rec.genre) for rec, feats in zip(records, feats_list)]
-
-
-def _dataset_from_rows(rows, n_mfcc) -> LabeledDataset:
-    return read_feature_table_csv(write_feature_table_csv(rows, n_mfcc))
-
-
-def _run_extract(cfg: RunConfig, out_dir: Path, produced: list):
-    records, feats_list = _extract_all(cfg, want_series=False)
-    rows = _feature_rows(records, feats_list)
-    _write(out_dir, "features.csv", write_feature_table_csv(rows, cfg.n_mfcc), produced)
-    _write(out_dir, "features.json", feature_table_json(rows, cfg.n_mfcc), produced)
-    return rows
-
-
-def _write_summary_outputs(records, results, out_dir: Path, produced: list):
-    summary = summarize_by_genre([(feats, rec.genre) for rec, (feats, _) in zip(records, results)])
-    _write(out_dir, "genre_summary.csv", write_genre_summary_csv(summary), produced)
-    for i, (rec, (_, series)) in enumerate(zip(records, results)):
-        stem = f"{i:03d}_{Path(rec.path).stem}"
-        for kind, fs in series.items():
-            _write(out_dir, f"series/{stem}_{kind}.csv", frame_series_csv(fs), produced)
-
-
-def _run_summarize(cfg: RunConfig, out_dir: Path, produced: list):
-    records, results = _extract_all(cfg, want_series=True)
-    _write_summary_outputs(records, results, out_dir, produced)
-
-
-def _classify_dataset(cfg: RunConfig) -> LabeledDataset:
-    if cfg.features_csv:
-        ds = read_feature_table_csv(Path(cfg.features_csv).read_text())
+def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, produced: list):
+    """extract, summarize, classify and report: one extraction pass, then each command's outputs."""
+    command = args.command
+    if command == "classify" and args.features_csv:
+        table = Path(args.features_csv).read_text()
     else:
-        records, feats_list = _extract_all(cfg, want_series=False)
-        ds = _dataset_from_rows(_feature_rows(records, feats_list), cfg.n_mfcc)
-    if cfg.feature_subset:
-        ds = select_features(ds, cfg.feature_subset)
-    return ds
+        # Only the commands that write series keep them: mfcc's series pins the full DCT matrix.
+        with_series = command in ("summarize", "report")
+        records, base = _load_records(args.manifest)
+        results = _map_tracks(
+            records, lambda rec: extract_track(rec, pre, spec, base, args.pad_short, with_series), args.jobs
+        )
+        feats = [r[0] for r in results] if with_series else results
+        rows = [(rec.path, f, rec.genre) for rec, f in zip(records, feats)]
+        table = write_feature_table_csv(rows, spec.n_mfcc)
+        if command in ("extract", "report"):
+            _write(out_dir, "features.csv", table, produced)
+            _write(out_dir, "features.json", feature_table_json(rows, spec.n_mfcc), produced)
+        if with_series:
+            summary = summarize_by_genre([(f, rec.genre) for rec, f in zip(records, feats)])
+            _write(out_dir, "genre_summary.csv", write_genre_summary_csv(summary), produced)
+            for i, (rec, (_, series)) in enumerate(zip(records, results)):
+                stem = f"{i:03d}_{Path(rec.path).stem}"
+                for kind, fs in series.items():
+                    _write(out_dir, f"series/{stem}_{kind}.csv", frame_series_csv(fs), produced)
 
-
-def _run_classify(cfg: RunConfig, out_dir: Path, produced: list, ds: LabeledDataset | None = None):
-    if ds is None:
-        ds = _classify_dataset(cfg)
-    elif cfg.feature_subset:
-        ds = select_features(ds, cfg.feature_subset)
-    if cfg.protocol == "loocv":
-        report = evaluate_loocv(ds, k=cfg.k)
-    else:
-        report = evaluate_split(ds, test_fraction=cfg.test_fraction, seed=cfg.seed, k=cfg.k)
-    _write(out_dir, "report.json", report.to_json(), produced)
-    _write(out_dir, "report.txt", report.to_text(), produced)
-
-
-def _run_report(cfg: RunConfig, out_dir: Path, produced: list):
-    records, results = _extract_all(cfg, want_series=True)
-    rows = _feature_rows(records, [feats for feats, _ in results])
-    _write(out_dir, "features.csv", write_feature_table_csv(rows, cfg.n_mfcc), produced)
-    _write(out_dir, "features.json", feature_table_json(rows, cfg.n_mfcc), produced)
-    _write_summary_outputs(records, results, out_dir, produced)
-    _run_classify(cfg, out_dir, produced, ds=_dataset_from_rows(rows, cfg.n_mfcc))
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one pipeline command; returns the process exit status."""
-    if not cfg.output_dir:
-        print(f"error: no output directory (use --out or ${OUT_DIR_ENV})", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    produced: list = []
-    try:
-        if cfg.command == "preprocess":
-            _run_preprocess(cfg, out_dir, produced)
-        elif cfg.command == "extract":
-            _run_extract(cfg, out_dir, produced)
-        elif cfg.command == "summarize":
-            _run_summarize(cfg, out_dir, produced)
-        elif cfg.command == "classify":
-            _run_classify(cfg, out_dir, produced)
-        elif cfg.command == "report":
-            _run_report(cfg, out_dir, produced)
-    except (VgmfeatError, OSError, ValueError) as exc:
-        print(f"error [{cfg.command}]: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    return _finish(cfg, out_dir, produced)
+    if command in ("classify", "report"):
+        # Parse the rendered table: classifying from memory must equal classifying from features.csv.
+        ds = read_feature_table_csv(table)
+        subset = [f.strip() for f in (args.features or "").split(",") if f.strip()]
+        if subset:
+            ds = select_features(ds, subset)
+        if args.protocol == "loocv":
+            report = evaluate_loocv(ds, k=args.k)
+        else:
+            report = evaluate_split(ds, test_fraction=args.test_fraction, seed=args.seed, k=args.k)
+        _write(out_dir, "report.json", report.to_json(), produced)
+        _write(out_dir, "report.txt", report.to_text(), produced)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; returns the process exit status."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if not args.out:
+        print(f"error: no output directory (use --out or ${OUT_DIR_ENV})", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.command == "synth-corpus":
-        if not args.out:
-            print(f"error: no output directory (use --out or ${OUT_DIR_ENV})", file=sys.stderr)
-            return EXIT_USAGE
-        manifest = synth.write_corpus(
-            args.out,
-            seed=args.seed,
-            games_per_genre=args.games_per_genre,
-            tracks_per_game=args.tracks_per_game,
-            duration_s=args.duration,
-            sample_rate_hz=args.sample_rate,
-        )
-        print(f"wrote {manifest}")
+        opts = {name: value for name, value in vars(args).items() if name not in ("command", "out")}
+        print(f"wrote {synth.write_corpus(args.out, **opts)}")
         return EXIT_OK
 
+    if args.manifest is None and not args.features_csv:
+        print("error: classify needs --features-csv or --manifest", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        cfg = config_from_args(args)
+        pre = PreprocessSpec(args.peak_dbfs, args.clip_seconds, args.sample_rate)
+        spec = None if args.command == "preprocess" else AnalysisSpec(
+            StftParams(args.n_fft, args.hop, args.window), args.n_mfcc, args.n_mels
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return run(cfg)
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    produced: list = []
+    try:
+        if args.command == "preprocess":
+            _run_preprocess(args, pre, out_dir, produced)
+        else:
+            _run_analysis(args, pre, spec, out_dir, produced)
+    except (VgmfeatError, OSError, ValueError) as exc:
+        print(f"error [{args.command}]: {exc}", file=sys.stderr)
+        return EXIT_DATA
+
+    manifest = {"command": args.command, "files": produced}
+    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    for name in produced + ["run_manifest.json"]:
+        print(f"wrote {out_dir / name}")
+    return EXIT_OK
 
 
 def entry():

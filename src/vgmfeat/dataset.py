@@ -13,7 +13,6 @@ from .audio_io import AudioBuffer, PreprocessSpec, decode_wav, preprocess
 from .errors import VgmfeatError, TrackError
 from .features import (
     PITCH_CLASSES,
-    DEFAULT_TEMPO_RANGE_BPM,
     FrameSeries,
     chroma,
     mfcc,
@@ -24,6 +23,20 @@ from .features import (
 from .spectral import StftParams, apply_filterbank, mel_filterbank, stft
 
 MANIFEST_COLUMNS = ("path", "game", "genre", "title")
+
+# Feature vector layout: these scalars, the 12 chroma means, then n_mfcc
+# cepstral means and n_mfcc cepstral ranges.
+SCALAR_FEATURES = ("tempo_bpm", "zcr_mean", "zcr_std", "centroid_mean_hz", "centroid_std_hz")
+N_FIXED_FEATURES = len(SCALAR_FEATURES) + len(PITCH_CLASSES)
+
+
+@dataclass(frozen=True)
+class AnalysisSpec:
+    """Per-clip analysis settings: STFT framing plus cepstral and mel band counts."""
+
+    stft: StftParams = StftParams()
+    n_mfcc: int = 13
+    n_mels: int = 128
 
 
 class GenreLabel(enum.IntEnum):
@@ -71,34 +84,26 @@ class TrackFeatures:
     mfcc_range: np.ndarray  # n_mfcc
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                [self.tempo_bpm, self.zcr_mean, self.zcr_std, self.centroid_mean_hz, self.centroid_std_hz],
-                self.chroma_mean,
-                self.mfcc_mean,
-                self.mfcc_range,
-            ]
-        )
+        scalars = [getattr(self, name) for name in SCALAR_FEATURES]
+        return np.concatenate([scalars, self.chroma_mean, self.mfcc_mean, self.mfcc_range])
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray, n_mfcc: int = 13) -> "TrackFeatures":
+    def from_vector(cls, vec: np.ndarray) -> "TrackFeatures":
+        """Inverse of as_vector; n_mfcc follows from the vector length."""
         vec = np.asarray(vec, dtype=np.float64)
-        if len(vec) != 17 + 2 * n_mfcc:
-            raise ValueError(f"expected {17 + 2 * n_mfcc} scalars, got {len(vec)}")
+        n_mfcc, odd = divmod(len(vec) - N_FIXED_FEATURES, 2)
+        if n_mfcc < 1 or odd:
+            raise ValueError(f"expected {N_FIXED_FEATURES} + 2 * n_mfcc scalars, got {len(vec)}")
         return cls(
-            tempo_bpm=float(vec[0]),
-            zcr_mean=float(vec[1]),
-            zcr_std=float(vec[2]),
-            centroid_mean_hz=float(vec[3]),
-            centroid_std_hz=float(vec[4]),
-            chroma_mean=vec[5:17].copy(),
-            mfcc_mean=vec[17 : 17 + n_mfcc].copy(),
-            mfcc_range=vec[17 + n_mfcc :].copy(),
+            **{name: float(v) for name, v in zip(SCALAR_FEATURES, vec)},
+            chroma_mean=vec[len(SCALAR_FEATURES) : N_FIXED_FEATURES].copy(),
+            mfcc_mean=vec[N_FIXED_FEATURES : N_FIXED_FEATURES + n_mfcc].copy(),
+            mfcc_range=vec[N_FIXED_FEATURES + n_mfcc :].copy(),
         )
 
 
-def feature_names(n_mfcc: int = 13) -> list:
-    names = ["tempo_bpm", "zcr_mean", "zcr_std", "centroid_mean_hz", "centroid_std_hz"]
+def feature_names(n_mfcc: int = AnalysisSpec.n_mfcc) -> list:
+    names = list(SCALAR_FEATURES)
     names += [f"chroma_mean_{pc}" for pc in PITCH_CLASSES]
     names += [f"mfcc_mean_{i}" for i in range(n_mfcc)]
     names += [f"mfcc_range_{i}" for i in range(n_mfcc)]
@@ -170,28 +175,21 @@ def load_manifest(text: str):
     return records
 
 
-def analyze_clip(
-    buf: AudioBuffer,
-    stft_params: StftParams | None = None,
-    n_mfcc: int = 13,
-    n_mels: int = 128,
-    tempo_range: tuple = DEFAULT_TEMPO_RANGE_BPM,
-):
+def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     """Run every extractor on a preprocessed clip.
 
     Returns (TrackFeatures, series) where series maps feature kind to the
     per-frame FrameSeries behind each aggregate.
     """
-    stft_params = stft_params or StftParams()
-    mag = stft(buf, stft_params, kind="magnitude")
+    mag = stft(buf, spec.stft, kind="magnitude")
     power = mag.to_power()
 
-    zcr = zero_crossing_rate(buf, stft_params.n_fft, stft_params.hop)
+    zcr = zero_crossing_rate(buf, spec.stft.n_fft, spec.stft.hop)
     cent = spectral_centroid(mag)
     chrom = chroma(power)
-    bank = mel_filterbank(buf.sample_rate_hz, stft_params.n_fft, n_mels)
-    ceps = mfcc(apply_filterbank(power, bank), n_mfcc, frame_rate_hz=power.frame_rate_hz)
-    tempo = tempo_from_spectrogram(mag, tempo_range)
+    bank = mel_filterbank(buf.sample_rate_hz, spec.stft.n_fft, spec.n_mels)
+    ceps = mfcc(apply_filterbank(power, bank), spec.n_mfcc, frame_rate_hz=power.frame_rate_hz)
+    tempo = tempo_from_spectrogram(mag)
 
     feats = TrackFeatures(
         tempo_bpm=tempo.bpm,
@@ -213,27 +211,18 @@ def analyze_clip(
     return feats, series
 
 
-def extract_track(
-    rec: TrackRecord,
-    pre: PreprocessSpec | None = None,
-    stft_params: StftParams | None = None,
-    base_dir: str | None = None,
-    n_mfcc: int = 13,
-    n_mels: int = 128,
-    tempo_range: tuple = DEFAULT_TEMPO_RANGE_BPM,
-    pad_short: bool = False,
-    return_series: bool = False,
-):
-    """Decode, preprocess and featurize one manifest record.
+def track_path(rec: TrackRecord, base_dir: str | None = None) -> Path:
+    """The record's file; relative paths resolve against base_dir when given."""
+    path = Path(rec.path)
+    return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
+
+
+def process_track(path: Path, pre: PreprocessSpec, pad_short: bool, last_stage: str, last):
+    """Read, decode and preprocess one WAV file, then return last(clip).
 
     Any failure is re-raised as TrackError carrying the track path and the
-    pipeline stage that broke.
+    pipeline stage that broke; `last_stage` names the stage `last` runs.
     """
-    pre = pre or PreprocessSpec()
-    path = Path(rec.path)
-    if base_dir is not None and not path.is_absolute():
-        path = Path(base_dir) / path
-
     stage = "read"
     try:
         data = path.read_bytes()
@@ -241,10 +230,31 @@ def extract_track(
         buf = decode_wav(data)
         stage = "preprocess"
         clip = preprocess(buf, pre, pad_short=pad_short)
-        stage = "analyze"
-        feats, series = analyze_clip(clip, stft_params, n_mfcc, n_mels, tempo_range)
+        stage = last_stage
+        return last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:
         raise TrackError(str(path), stage, exc) from exc
+
+
+def extract_track(
+    rec: TrackRecord,
+    pre: PreprocessSpec = PreprocessSpec(),
+    spec: AnalysisSpec = AnalysisSpec(),
+    base_dir: str | None = None,
+    pad_short: bool = False,
+    return_series: bool = False,
+):
+    """Decode, preprocess and featurize one manifest record (see process_track).
+
+    Returns TrackFeatures, or (TrackFeatures, series) with return_series.
+    """
+    feats, series = process_track(
+        track_path(rec, base_dir),
+        pre,
+        pad_short,
+        "analyze",
+        lambda clip: analyze_clip(clip, spec),
+    )
     return (feats, series) if return_series else feats
 
 
@@ -259,7 +269,7 @@ def summarize_by_genre(pairs) -> GenreSummary:
         raise ValueError("no tracks to summarize")
     vectors = np.array([f.as_vector() for f, _ in pairs])
     labels = np.array([int(g) for _, g in pairs])
-    n_mfcc = (vectors.shape[1] - 17) // 2
+    n_mfcc = (vectors.shape[1] - N_FIXED_FEATURES) // 2
 
     genres = [g for g in GenreLabel if np.any(labels == int(g))]
     stacked = [vectors[labels == int(g)] for g in genres]
@@ -282,15 +292,16 @@ def format_float(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def write_feature_table_csv(rows, n_mfcc: int = 13) -> str:
+def write_feature_table_csv(rows, n_mfcc: int = AnalysisSpec.n_mfcc) -> str:
     """Render (track_id, TrackFeatures, GenreLabel) rows as the feature CSV."""
+    names = feature_names(n_mfcc)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["track_id"] + feature_names(n_mfcc) + ["genre"])
+    writer.writerow(["track_id"] + names + ["genre"])
     for track_id, feats, genre in rows:
         vec = feats.as_vector()
-        if len(vec) != 17 + 2 * n_mfcc:
-            raise ValueError(f"track {track_id}: expected {17 + 2 * n_mfcc} features, got {len(vec)}")
+        if len(vec) != len(names):
+            raise ValueError(f"track {track_id}: expected {len(names)} features, got {len(vec)}")
         writer.writerow([track_id] + [format_float(v) for v in vec] + [genre.token])
     return out.getvalue()
 
@@ -317,7 +328,7 @@ def read_feature_table_csv(text: str) -> LabeledDataset:
     return LabeledDataset(matrix, np.array(labels, dtype=int), ids, names)
 
 
-def feature_table_json(rows, n_mfcc: int = 13) -> str:
+def feature_table_json(rows, n_mfcc: int = AnalysisSpec.n_mfcc) -> str:
     """JSON mirror of the feature CSV: one object per track, same columns."""
     names = feature_names(n_mfcc)
     entries = []

@@ -12,7 +12,7 @@ MEL_BREAK_FREQUENCY_HZ = 700.0
 WINDOW_FUNCTIONS = ("hann", "hamming", "rectangular")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StftParams:
     n_fft: int = 2048
     hop: int = 512

@@ -8,7 +8,7 @@ import pytest
 
 from vgmfeat import cli
 from vgmfeat.audio_io import decode_wav
-from vgmfeat.dataset import load_manifest, read_feature_table_csv
+from vgmfeat.dataset import feature_names, load_manifest, read_feature_table_csv
 from vgmfeat.synth import write_corpus
 
 
@@ -221,6 +221,31 @@ class TestReportCommand:
         } - {"run_manifest.json"}
         assert on_disk == set(declared)
 
+    def test_matches_separate_commands(self, small_corpus, tmp_path):
+        manifest = str(small_corpus / "manifest.csv")
+        rep, ext, summ, cls = (tmp_path / name for name in ("rep", "ext", "sum", "cls"))
+        assert cli.main(["report", "--manifest", manifest, "--out", str(rep)]) == 0
+        assert cli.main(["extract", "--manifest", manifest, "--out", str(ext)]) == 0
+        assert cli.main(["summarize", "--manifest", manifest, "--out", str(summ)]) == 0
+        assert cli.main(["classify", "--features-csv", str(ext / "features.csv"), "--out", str(cls)]) == 0
+        parts = {name: d for d in (ext, summ, cls) for name in declared_files(d)}
+        assert sorted(parts) == sorted(declared_files(rep))
+        assert any(name.startswith("series/") for name in parts)
+        for name, d in parts.items():
+            assert (rep / name).read_bytes() == (d / name).read_bytes(), name
+
+    def test_non_default_analysis_flags(self, small_corpus, tmp_path):
+        out = tmp_path / "rep"
+        rc = cli.main(
+            ["report", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
+             "--n-mfcc", "20", "--n-mels", "64", "--window", "hamming", "--hop", "256"]
+        )
+        assert rc == 0
+        header = (out / "features.csv").read_text().splitlines()[0].split(",")
+        assert header == ["track_id"] + feature_names(20) + ["genre"]
+        assert len(header) == 57 + 2
+        assert read_feature_table_csv((out / "features.csv").read_text()).matrix.shape == (9, 57)
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -229,12 +254,20 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert cli.main(["extract"]) == 1
 
-    def test_bad_numeric_value(self, tmp_path, capsys):
-        rc = cli.main(
-            ["extract", "--manifest", "m.csv", "--out", str(tmp_path), "--n-fft", "1000"]
-        )
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--n-fft", "1000", "power of two", id="n-fft"),
+            pytest.param("--k", "0", "--k", id="k"),
+            pytest.param("--jobs", "0", "--jobs", id="jobs"),
+            pytest.param("--test-fraction", "1.5", "--test-fraction", id="test-fraction"),
+            pytest.param("--peak-dbfs", "2", "<= 0", id="peak-dbfs"),
+        ],
+    )
+    def test_bad_numeric_value(self, tmp_path, capsys, flag, value, message):
+        rc = cli.main(["report", "--manifest", "m.csv", "--out", str(tmp_path), flag, value])
         assert rc == 1
-        assert "power of two" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_no_output_dir(self, small_corpus, monkeypatch, capsys):
         monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)

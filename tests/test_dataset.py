@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, encode_wav
 from vgmfeat.dataset import (
@@ -88,6 +89,18 @@ class TestTrackFeatures:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
             TrackFeatures.from_vector(np.zeros(10))
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_round_trip_any_n_mfcc(self, n_mfcc, seed):
+        vec = np.random.default_rng(seed).standard_normal(17 + 2 * n_mfcc)
+        feats = TrackFeatures.from_vector(vec)
+        assert len(feats.mfcc_mean) == len(feats.mfcc_range) == n_mfcc
+        np.testing.assert_array_equal(feats.as_vector(), vec)
+
+    @given(st.integers(0, 100).filter(lambda n: n < 19 or (n - 17) % 2))
+    def test_invalid_lengths_rejected(self, length):
+        with pytest.raises(ValueError):
+            TrackFeatures.from_vector(np.zeros(length))
 
 
 class TestExtractTrack:
