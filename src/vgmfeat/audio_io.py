@@ -21,6 +21,10 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # Kaiser window designed for ~80 dB stop-band attenuation.
 RESAMPLE_TAPS_PER_PHASE = 64
 RESAMPLE_KAISER_BETA = 0.1102 * (80.0 - 8.7)
+# Raised-cosine taper on each end of the resampler input: a signal that
+# starts or stops abruptly has a broadband edge, and that edge would alias
+# into the output band however good the low-pass filter is.
+RESAMPLE_FADE_SAMPLES = 32
 
 
 @dataclass
@@ -192,7 +196,8 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 
     The rational ratio up/down is the reduced target/source rate pair and
     the output length is round(n * target_rate / source_rate). A matching
-    target rate returns the input samples untouched.
+    target rate returns the input samples untouched; otherwise the first and
+    last RESAMPLE_FADE_SAMPLES input samples are tapered with a raised cosine.
 
     Raises:
         ValueError: non-positive target rate or empty input.
@@ -214,6 +219,11 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     taps = bank.shape[1]
     half = taps // 2
     padded = np.pad(buf.samples, (half, taps + half), mode="constant")
+    # Fade the padded copy in place; a faded copy of the input would cost one more full-length array.
+    n_fade = min(RESAMPLE_FADE_SAMPLES, n_in // 2)
+    ramp = 0.5 - 0.5 * np.cos(np.pi * (np.arange(n_fade) + 0.5) / n_fade)
+    padded[half : half + n_fade] *= ramp
+    padded[half + n_in - n_fade : half + n_in] *= ramp[::-1]
     windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
 
     out = np.empty(n_out, dtype=np.float64)
