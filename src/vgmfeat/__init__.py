@@ -43,7 +43,6 @@ from .features import (
     zero_crossing_rate,
 )
 from .spectral import (
-    MelFilterbank,
     Spectrogram,
     StftParams,
     apply_filterbank,

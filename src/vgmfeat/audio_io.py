@@ -50,11 +50,16 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class PreprocessSpec:
-    """Targets for the preprocessing chain."""
+    """Targets for the preprocessing chain.
+
+    With pad_short, inputs shorter than the clip are zero-padded evenly on
+    both sides instead of rejected.
+    """
 
     target_peak_dbfs: float = -5.0
     clip_duration_s: float = 15.0
     target_sample_rate_hz: int = 48000
+    pad_short: bool = False
 
     def __post_init__(self):
         if self.target_peak_dbfs > 0:
@@ -99,7 +104,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
                 raise WavDecodeError("truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
             if fmt[0] == WAVE_FORMAT_EXTENSIBLE:
-                if chunk_size < 40:
+                if chunk_size < 40 or len(body) < 40:
                     raise WavDecodeError("truncated fmt extension")
                 (sub_format,) = struct.unpack_from("<H", body, 24)
                 fmt = (sub_format,) + fmt[1:]
@@ -131,6 +136,8 @@ def decode_wav(data: bytes) -> AudioBuffer:
         x = x.astype(np.float64) / 8388608.0
     elif format_tag == WAVE_FORMAT_IEEE_FLOAT and bits == 32:
         x = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(x)):
+            raise WavDecodeError("data chunk holds NaN or Inf samples")
     else:
         raise UnsupportedWavError(
             f"unsupported codec: format tag {format_tag}, {bits} bits per sample"
@@ -270,16 +277,12 @@ def center_trim(buf: AudioBuffer, duration_s: float) -> AudioBuffer:
     return AudioBuffer(buf.samples[start : start + n_out].copy(), buf.sample_rate_hz)
 
 
-def preprocess(buf: AudioBuffer, spec: PreprocessSpec, pad_short: bool = False) -> AudioBuffer:
-    """Run resample -> peak normalize -> center trim on a decoded buffer.
-
-    With pad_short, inputs shorter than the clip are zero-padded evenly on
-    both sides instead of rejected.
-    """
+def preprocess(buf: AudioBuffer, spec: PreprocessSpec) -> AudioBuffer:
+    """Run resample -> peak normalize -> center trim on a decoded buffer (see PreprocessSpec)."""
     out = resample(buf, spec.target_sample_rate_hz)
     out = peak_normalize(out, spec.target_peak_dbfs)
     n_clip = _round_half_up(spec.clip_duration_s * out.sample_rate_hz)
-    if pad_short and len(out.samples) < n_clip:
+    if spec.pad_short and len(out.samples) < n_clip:
         left = (n_clip - len(out.samples)) // 2
         right = n_clip - len(out.samples) - left
         out = AudioBuffer(np.pad(out.samples, (left, right)), out.sample_rate_hz)

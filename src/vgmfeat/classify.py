@@ -1,5 +1,6 @@
 """Feature standardization and KNN classification with split / LOOCV evaluation."""
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -198,7 +199,9 @@ def evaluate_split(
     return _report(ds, test_idx, lambda i: model)
 
 
-def evaluate_loocv(ds: LabeledDataset, k: int = 3) -> EvalReport:
+def evaluate_loocv(
+    ds: LabeledDataset, k: int = inspect.signature(evaluate_split).parameters["k"].default
+) -> EvalReport:
     """Leave-one-out evaluation; standardization is refitted on every fold."""
     n = len(ds)
     if n < 2:

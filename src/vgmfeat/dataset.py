@@ -141,6 +141,15 @@ class GenreSummary:
         return self.maximum - self.minimum
 
 
+def write_manifest(records) -> str:
+    """Render TrackRecords as manifest CSV; the inverse of load_manifest."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(MANIFEST_COLUMNS)
+    writer.writerows([rec.path, rec.game, rec.genre.token, rec.title] for rec in records)
+    return out.getvalue()
+
+
 def load_manifest(text: str):
     """Parse manifest CSV (`path,game,genre,title`) into TrackRecords.
 
@@ -188,7 +197,7 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     cent = spectral_centroid(mag)
     chrom = chroma(power)
     bank = mel_filterbank(buf.sample_rate_hz, spec.stft.n_fft, spec.n_mels)
-    ceps = mfcc(apply_filterbank(power, bank), spec.n_mfcc, frame_rate_hz=power.frame_rate_hz)
+    ceps = mfcc(apply_filterbank(power, bank), spec.n_mfcc)
     tempo = tempo_from_spectrogram(mag)
 
     feats = TrackFeatures(
@@ -206,7 +215,7 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
         "centroid": cent,
         "chroma": chrom,
         "mfcc": ceps,
-        "onset": FrameSeries(tempo.onset_envelope[None, :], "onset", mag.frame_rate_hz),
+        "onset": FrameSeries(tempo.onset_envelope[None, :], "onset"),
     }
     return feats, series
 
@@ -217,7 +226,7 @@ def track_path(rec: TrackRecord, base_dir: str | None = None) -> Path:
     return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
 
 
-def process_track(path: Path, pre: PreprocessSpec, pad_short: bool, last_stage: str, last):
+def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
     """Read, decode and preprocess one WAV file, then return last(clip).
 
     Any failure is re-raised as TrackError carrying the track path and the
@@ -229,7 +238,7 @@ def process_track(path: Path, pre: PreprocessSpec, pad_short: bool, last_stage: 
         stage = "decode"
         buf = decode_wav(data)
         stage = "preprocess"
-        clip = preprocess(buf, pre, pad_short=pad_short)
+        clip = preprocess(buf, pre)
         stage = last_stage
         return last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:
@@ -241,7 +250,6 @@ def extract_track(
     pre: PreprocessSpec = PreprocessSpec(),
     spec: AnalysisSpec = AnalysisSpec(),
     base_dir: str | None = None,
-    pad_short: bool = False,
     return_series: bool = False,
 ):
     """Decode, preprocess and featurize one manifest record (see process_track).
@@ -249,11 +257,7 @@ def extract_track(
     Returns TrackFeatures, or (TrackFeatures, series) with return_series.
     """
     feats, series = process_track(
-        track_path(rec, base_dir),
-        pre,
-        pad_short,
-        "analyze",
-        lambda clip: analyze_clip(clip, spec),
+        track_path(rec, base_dir), pre, "analyze", lambda clip: analyze_clip(clip, spec)
     )
     return (feats, series) if return_series else feats
 
@@ -287,14 +291,22 @@ def summarize_by_genre(pairs) -> GenreSummary:
 # ---------------------------------------------------------------------------
 # serialization: feature table and genre summary, CSV and JSON
 # floats are written with 9 significant digits so files are reproducible
+FLOAT_FORMAT = ".9g"
+
 
 def format_float(x: float) -> str:
-    return format(float(x), ".9g")
+    return format(float(x), FLOAT_FORMAT)
 
 
-def write_feature_table_csv(rows, n_mfcc: int = AnalysisSpec.n_mfcc) -> str:
+def _column_names(rows) -> list:
+    """Feature columns for the rows, sized by the first row's n_mfcc."""
+    return feature_names(len(rows[0][1].mfcc_mean)) if rows else feature_names()
+
+
+def write_feature_table_csv(rows) -> str:
     """Render (track_id, TrackFeatures, GenreLabel) rows as the feature CSV."""
-    names = feature_names(n_mfcc)
+    rows = list(rows)
+    names = _column_names(rows)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["track_id"] + names + ["genre"])
@@ -328,9 +340,10 @@ def read_feature_table_csv(text: str) -> LabeledDataset:
     return LabeledDataset(matrix, np.array(labels, dtype=int), ids, names)
 
 
-def feature_table_json(rows, n_mfcc: int = AnalysisSpec.n_mfcc) -> str:
+def feature_table_json(rows) -> str:
     """JSON mirror of the feature CSV: one object per track, same columns."""
-    names = feature_names(n_mfcc)
+    rows = list(rows)
+    names = _column_names(rows)
     entries = []
     for track_id, feats, genre in rows:
         entry = {"track_id": track_id}
@@ -365,8 +378,6 @@ def write_genre_summary_csv(summary: GenreSummary) -> str:
 
 def frame_series_csv(series: FrameSeries) -> str:
     """Plot-ready CSV for one per-frame series: frame index, then one value column per row."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     d = series.values.shape[0]
     if series.feature_kind == "chroma" and d == 12:
         cols = [f"chroma_{pc}" for pc in PITCH_CLASSES]
@@ -374,21 +385,15 @@ def frame_series_csv(series: FrameSeries) -> str:
         cols = [series.feature_kind]
     else:
         cols = [f"{series.feature_kind}_{i}" for i in range(d)]
-    writer.writerow(["frame"] + cols)
-    for t in range(series.n_frames):
-        writer.writerow([str(t)] + [format_float(v) for v in series.values[:, t]])
+    out = io.StringIO()
+    table = np.column_stack([np.arange(series.n_frames), series.values.T])
+    np.savetxt(out, table, fmt=["%d"] + ["%" + FLOAT_FORMAT] * d, delimiter=",",
+               header=",".join(["frame"] + cols), comments="")
     return out.getvalue()
 
 
-FEATURE_FAMILIES = {
-    "tempo": ("tempo_bpm",),
-    "zcr": ("zcr_",),
-    "centroid": ("centroid_",),
-    "chroma": ("chroma_",),
-    "mfcc": ("mfcc_",),
-    "mfcc_mean": ("mfcc_mean_",),
-    "mfcc_range": ("mfcc_range_",),
-}
+# A family selects every feature column whose name starts with the family name.
+FEATURE_FAMILIES = ("tempo", "zcr", "centroid", "chroma", "mfcc", "mfcc_mean", "mfcc_range")
 
 
 def select_features(ds: LabeledDataset, families) -> LabeledDataset:
@@ -396,8 +401,7 @@ def select_features(ds: LabeledDataset, families) -> LabeledDataset:
     unknown = [f for f in families if f not in FEATURE_FAMILIES]
     if unknown:
         raise ValueError(f"unknown feature families {unknown}, expected {sorted(FEATURE_FAMILIES)}")
-    prefixes = tuple(p for f in families for p in FEATURE_FAMILIES[f])
-    keep = [i for i, name in enumerate(ds.feature_names) if name.startswith(prefixes)]
+    keep = [i for i, name in enumerate(ds.feature_names) if name.startswith(tuple(families))]
     if not keep:
         raise ValueError(f"feature selection {list(families)} matches no columns")
     return LabeledDataset(

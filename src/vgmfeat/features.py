@@ -19,11 +19,10 @@ DEFAULT_TEMPO_RANGE_BPM = (60.0, 180.0)
 
 @dataclass
 class FrameSeries:
-    """A d x n_frames feature matrix with its frame rate (d=1 for scalar features)."""
+    """A d x n_frames feature matrix (d=1 for scalar features)."""
 
     values: np.ndarray
     feature_kind: str
-    frame_rate_hz: float
 
     @property
     def n_frames(self) -> int:
@@ -34,10 +33,11 @@ class FrameSeries:
 class TempoEstimate:
     bpm: float
     onset_envelope: np.ndarray
-    search_range_bpm: tuple
 
 
-def zero_crossing_rate(buf: AudioBuffer, frame_len: int = 2048, hop: int = 512) -> FrameSeries:
+def zero_crossing_rate(
+    buf: AudioBuffer, frame_len: int = StftParams.n_fft, hop: int = StftParams.hop
+) -> FrameSeries:
     """Per-frame fraction of adjacent sample pairs that change sign.
 
     Zero counts as non-negative, so exact zeros never double-count a
@@ -58,7 +58,7 @@ def zero_crossing_rate(buf: AudioBuffer, frame_len: int = 2048, hop: int = 512) 
     # pair t belongs to the frames covering samples (t, t+1)
     frames = np.lib.stride_tricks.sliding_window_view(crossings, frame_len - 1)[::hop]
     rates = frames.sum(axis=1) / (frame_len - 1)
-    return FrameSeries(rates[None, :], "zcr", buf.sample_rate_hz / hop)
+    return FrameSeries(rates[None, :], "zcr")
 
 
 def spectral_centroid(spec: Spectrogram) -> FrameSeries:
@@ -70,7 +70,7 @@ def spectral_centroid(spec: Spectrogram) -> FrameSeries:
     totals = mag.sum(axis=0)
     weighted = freqs @ mag
     centroid = np.divide(weighted, totals, out=np.zeros_like(totals), where=totals > 0)
-    return FrameSeries(centroid[None, :], "spectral_centroid", spec.frame_rate_hz)
+    return FrameSeries(centroid[None, :], "spectral_centroid")
 
 
 def chroma(
@@ -94,10 +94,10 @@ def chroma(
     energy = fold @ spec.values[audible]
     peak = energy.max(axis=0)
     energy = np.divide(energy, peak, out=np.zeros_like(energy), where=peak > 0)
-    return FrameSeries(energy, "chroma", spec.frame_rate_hz)
+    return FrameSeries(energy, "chroma")
 
 
-def mfcc(mel_power: np.ndarray, n_mfcc: int = 13, *, frame_rate_hz: float) -> FrameSeries:
+def mfcc(mel_power: np.ndarray, n_mfcc: int) -> FrameSeries:
     """Cepstral coefficients: orthonormal DCT-II of log(mel + 1e-10) per frame."""
     mel_power = np.asarray(mel_power, dtype=np.float64)
     if mel_power.ndim != 2:
@@ -107,7 +107,8 @@ def mfcc(mel_power: np.ndarray, n_mfcc: int = 13, *, frame_rate_hz: float) -> Fr
     if not 1 <= n_mfcc <= mel_power.shape[0]:
         raise ValueError(f"n_mfcc must be in [1, {mel_power.shape[0]}], got {n_mfcc}")
     coeffs = scipy.fft.dct(np.log(mel_power + MFCC_LOG_FLOOR), type=2, axis=0, norm="ortho")
-    return FrameSeries(coeffs[:n_mfcc], "mfcc", frame_rate_hz)
+    # copy, so the kept rows do not pin the full n_mels-row transform
+    return FrameSeries(coeffs[:n_mfcc].copy(), "mfcc")
 
 
 def onset_envelope(spec: Spectrogram) -> np.ndarray:
@@ -177,4 +178,4 @@ def tempo_from_spectrogram(spec: Spectrogram, bpm_range: tuple = DEFAULT_TEMPO_R
         if denom < 0:
             shift = float(np.clip(0.5 * (ac[lag - 1] - ac[lag + 1]) / denom, -0.5, 0.5))
     bpm = float(np.clip(60.0 * frame_rate / (lag + shift), low, high))
-    return TempoEstimate(bpm, envelope, (low, high))
+    return TempoEstimate(bpm, envelope)

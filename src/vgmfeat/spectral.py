@@ -53,16 +53,6 @@ class Spectrogram:
         return Spectrogram(self.values**2, self.params, self.sample_rate_hz, "power")
 
 
-@dataclass
-class MelFilterbank:
-    """Triangular mel filters as an n_mels x (n_fft/2 + 1) weight matrix."""
-
-    weights: np.ndarray
-    n_mels: int
-    fmin_hz: float
-    fmax_hz: float
-
-
 def make_window(name: str, n: int) -> np.ndarray:
     """Periodic analysis window of length n."""
     if name == "hann":
@@ -125,8 +115,8 @@ def mel_filterbank(
     fmin_hz: float = 0.0,
     fmax_hz: float | None = None,
     normalization: str = "peak",
-) -> MelFilterbank:
-    """Triangular filters with centers equally spaced on the mel scale.
+) -> np.ndarray:
+    """n_mels x (n_fft/2 + 1) weights of triangular filters equally spaced on the mel scale.
 
     Filters are peak-normalized (height 1) by default; "area" rescales each
     triangle by 2 / bandwidth (Slaney style).
@@ -150,15 +140,15 @@ def mel_filterbank(
     weights = np.maximum(0.0, np.minimum(rising, falling))
     if normalization == "area":
         weights *= 2.0 / (upper - lower)
-    return MelFilterbank(weights, n_mels, fmin_hz, fmax_hz)
+    return weights
 
 
-def apply_filterbank(spec: Spectrogram, fb: MelFilterbank) -> np.ndarray:
+def apply_filterbank(spec: Spectrogram, weights: np.ndarray) -> np.ndarray:
     """Project a power spectrogram onto the mel bands: weights @ values."""
     if spec.kind != "power":
         raise ValueError(f"filterbank expects a power spectrogram, got kind {spec.kind!r}")
-    if fb.weights.shape[1] != spec.values.shape[0]:
+    if weights.shape[1] != spec.values.shape[0]:
         raise ValueError(
-            f"filterbank built for {fb.weights.shape[1]} bins, spectrogram has {spec.values.shape[0]}"
+            f"filterbank built for {weights.shape[1]} bins, spectrogram has {spec.values.shape[0]}"
         )
-    return fb.weights @ spec.values
+    return weights @ spec.values

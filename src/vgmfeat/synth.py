@@ -4,14 +4,12 @@ Each genre gets its own tempo band and tone register, so the generated
 tracks are separable by the same features the real pipeline extracts.
 """
 
-import csv
-import io
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import AudioBuffer, encode_wav
-from .dataset import GenreLabel
+from .dataset import GenreLabel, TrackRecord, write_manifest
 
 # (bpm band, tone register in Hz, root pitch set) per genre
 GENRE_PROFILES = {
@@ -50,9 +48,7 @@ def make_click_track(
     return AudioBuffer(x, sample_rate_hz)
 
 
-def synth_track(
-    genre: GenreLabel, rng: np.random.Generator, duration_s: float = 20.0, sample_rate_hz: int = 44100
-) -> tuple:
+def synth_track(genre: GenreLabel, rng: np.random.Generator, duration_s: float, sample_rate_hz: int) -> tuple:
     """One labeled track: clicks in the genre tempo band plus tones in its register.
 
     Returns (AudioBuffer, bpm used).
@@ -90,7 +86,7 @@ def write_corpus(
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    rows = []
+    records = []
     for genre in GenreLabel:
         for game_no in range(1, games_per_genre + 1):
             game = f"{genre.token}_game{game_no}"
@@ -98,12 +94,8 @@ def write_corpus(
                 buf, bpm = synth_track(genre, rng, duration_s, sample_rate_hz)
                 name = f"{game}_track{track_no}.wav"
                 (out_dir / name).write_bytes(encode_wav(buf, "pcm16"))
-                rows.append((name, game, genre.token, f"theme {track_no} ({bpm:.0f} bpm)"))
+                records.append(TrackRecord(name, game, genre, f"theme {track_no} ({bpm:.0f} bpm)"))
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["path", "game", "genre", "title"])
-    writer.writerows(rows)
     manifest = out_dir / "manifest.csv"
-    manifest.write_text(out.getvalue())
+    manifest.write_text(write_manifest(records))
     return manifest

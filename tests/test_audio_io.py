@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vgmfeat.audio_io import (
     AudioBuffer,
@@ -13,7 +14,7 @@ from vgmfeat.audio_io import (
     preprocess,
     resample,
 )
-from vgmfeat.errors import SilentAudioError, TooShortError, UnsupportedWavError, WavDecodeError
+from vgmfeat.errors import SilentAudioError, TooShortError, UnsupportedWavError, VgmfeatError, WavDecodeError
 
 from conftest import sine
 from reference import naive_dft_magnitudes
@@ -33,6 +34,43 @@ def wav_bytes(payload, format_tag, channels, rate, bits):
             payload,
         ]
     )
+
+
+def extensible_wav_bytes(payload, sub_format, channels, rate, bits):
+    """WAVE_FORMAT_EXTENSIBLE container: the codec sits in the 40-byte fmt chunk's sub-format GUID."""
+    block = channels * bits // 8
+    guid = struct.pack("<H", sub_format) + b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xAA\x00\x38\x9B\x71"
+    fmt = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block, block, bits)
+    fmt += struct.pack("<HHI", 22, bits, 0) + guid
+    return b"".join(
+        [
+            b"RIFF",
+            struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(payload)),
+            b"WAVE",
+            b"fmt ",
+            struct.pack("<I", len(fmt)),
+            fmt,
+            b"data",
+            struct.pack("<I", len(payload)),
+            payload,
+        ]
+    )
+
+
+# One small file per supported layout, for the robustness properties below.
+SAMPLE_WAVS = {
+    "pcm16": wav_bytes(np.array([0, 16384, -32768, 77], dtype="<i2").tobytes(), 1, 1, 48000, 16),
+    "pcm24": wav_bytes(bytes([0x00, 0x00, 0x40, 0x00, 0x00, 0xC0, 0x01, 0x00, 0x00]), 1, 1, 48000, 24),
+    "float32": wav_bytes(np.array([[0.25, -0.5], [0.0, 1.0]], dtype="<f4").tobytes(), 3, 2, 44100, 32),
+    "extensible": extensible_wav_bytes(np.array([0.5, -0.5], dtype="<f4").tobytes(), 3, 1, 48000, 32),
+}
+
+
+def decodes_or_raises_vgmfeat_error(data):
+    try:
+        return isinstance(decode_wav(data), AudioBuffer)
+    except VgmfeatError:
+        return True
 
 
 class TestDecodeWav:
@@ -117,6 +155,40 @@ class TestDecodeWav:
             decode_wav(wav_bytes(b"\x00\x00", 1, 1, 48000, 8))  # PCM 8-bit
         with pytest.raises(UnsupportedWavError):
             decode_wav(wav_bytes(b"\x00\x00", 7, 1, 8000, 8))  # mu-law
+
+    def test_truncated_extensible_fmt_chunk(self):
+        raw = SAMPLE_WAVS["extensible"]
+        fmt_at = raw.index(b"fmt ")
+        # the fmt chunk declares its 40 bytes, but the file ends 20 bytes into it
+        with pytest.raises(WavDecodeError, match="truncated fmt extension"):
+            decode_wav(raw[: fmt_at + 8 + 20])
+
+    def test_non_finite_float_samples(self):
+        payload = np.array([0.25, np.nan, np.inf], dtype="<f4").tobytes()
+        with pytest.raises(WavDecodeError, match="NaN or Inf"):
+            decode_wav(wav_bytes(payload, 3, 1, 48000, 32))
+
+
+class TestDecodeWavRobustness:
+    """decode_wav returns an AudioBuffer or raises VgmfeatError, whatever the bytes."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_WAVS))
+    def test_every_prefix(self, name):
+        raw = SAMPLE_WAVS[name]
+        assert isinstance(decode_wav(raw), AudioBuffer)
+        for n in range(len(raw)):
+            assert decodes_or_raises_vgmfeat_error(raw[:n]), n
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SAMPLE_WAVS)),
+        edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), min_size=1, max_size=6),
+    )
+    def test_byte_mutations(self, name, edits):
+        raw = bytearray(SAMPLE_WAVS[name])
+        for pos, value in edits:
+            raw[pos % len(raw)] = value
+        assert decodes_or_raises_vgmfeat_error(bytes(raw))
 
 
 class TestResample:
@@ -230,7 +302,7 @@ class TestPreprocess:
         buf = AudioBuffer(sine(220.0, 10.0, 8000), 8000)
         with pytest.raises(TooShortError):
             preprocess(buf, PreprocessSpec(-5.0, 15.0, 8000))
-        out = preprocess(buf, PreprocessSpec(-5.0, 15.0, 8000), pad_short=True)
+        out = preprocess(buf, PreprocessSpec(-5.0, 15.0, 8000, pad_short=True))
         assert len(out.samples) == 15 * 8000
 
     def test_resamples_to_target(self):

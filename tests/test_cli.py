@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,30 @@ class TestExtractCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "ghost.wav" in err and "read" in err
+
+    def test_truncated_extensible_fmt_is_a_data_error(self, tmp_path, capsys):
+        fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 48000, 96000, 2, 16) + b"\x16\x00\x10\x00"
+        # the fmt chunk declares 40 bytes, but the file ends after 20
+        wav = tmp_path / "cut.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", 4 + 8 + 40) + b"WAVE" + b"fmt " + struct.pack("<I", 40) + fmt)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,game,genre,title\ncut.wav,g,action_rpg,t\n")
+        rc = cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{wav}: decode: truncated fmt extension" in capsys.readouterr().err
+
+    def test_pad_short(self, small_corpus, tmp_path, capsys):
+        track = load_manifest((small_corpus / "manifest.csv").read_text())[0]
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,game,genre,title\n{small_corpus / track.path},g,action_rpg,t\n")
+        # the corpus tracks last 16 s
+        args = ["extract", "--manifest", str(manifest), "--clip-seconds", "20"]
+        assert cli.main(args + ["--out", str(tmp_path / "strict")]) == 2
+        assert ": preprocess: " in capsys.readouterr().err
+        assert cli.main(args + ["--out", str(tmp_path / "padded"), "--pad-short"]) == 0
+        ds = read_feature_table_csv((tmp_path / "padded" / "features.csv").read_text())
+        assert ds.matrix.shape == (1, 43)
+        assert np.all(np.isfinite(ds.matrix))
 
     def test_jobs_do_not_change_output(self, small_corpus, tmp_path):
         outs = []

@@ -151,13 +151,13 @@ class TestChroma:
 class TestMfcc:
     def test_constant_mel_is_dc_only(self):
         mel = np.full((40, 7), 2.5)
-        series = mfcc(mel, 13, frame_rate_hz=93.75)
+        series = mfcc(mel, 13)
         assert np.all(np.abs(series.values[0]) > 0)
         np.testing.assert_allclose(series.values[1:], 0.0, atol=1e-12)
 
     def test_matches_naive_dct(self):
         mel = np.random.default_rng(11).uniform(0.1, 5.0, size=(32, 9))
-        series = mfcc(mel, 32, frame_rate_hz=93.75)
+        series = mfcc(mel, 32)
         want = naive_dct2_ortho(np.log(mel + 1e-10))
         assert np.max(np.abs(series.values - want)) < 1e-9
 
@@ -168,7 +168,7 @@ class TestMfcc:
 
         def coeffs(gain):
             mel = apply_filterbank(stft(AudioBuffer(x * gain, 48000), StftParams(), kind="power"), fb)
-            return mfcc(mel, 13, frame_rate_hz=93.75).values
+            return mfcc(mel, 13).values
 
         base, loud = coeffs(1.0), coeffs(3.7)
         np.testing.assert_allclose(loud[1:], base[1:], atol=1e-6)
@@ -177,11 +177,11 @@ class TestMfcc:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            mfcc(np.ones((10, 4)), 11, frame_rate_hz=93.75)
+            mfcc(np.ones((10, 4)), 11)
         with pytest.raises(ValueError):
-            mfcc(np.full((10, 4), -1.0), 5, frame_rate_hz=93.75)
+            mfcc(np.full((10, 4), -1.0), 5)
         with pytest.raises(ValueError):
-            mfcc(np.ones(10), 5, frame_rate_hz=93.75)
+            mfcc(np.ones(10), 5)
 
 
 class TestTempo:
@@ -191,7 +191,6 @@ class TestTempo:
         est = tempo_bpm(buf)
         assert abs(est.bpm - bpm) <= 2.0
         assert np.all(est.onset_envelope >= 0)
-        assert est.search_range_bpm == (60.0, 180.0)
 
     def test_custom_range_is_respected(self):
         buf = make_click_track(100.0, 15.0, 48000, rng=np.random.default_rng(13))

@@ -115,15 +115,15 @@ class TestMelFilterbank:
 
     def test_centers_increase_and_rows_are_positive(self):
         fb = mel_filterbank(48000, 2048, n_mels=128)
-        assert fb.weights.shape == (128, 1025)
-        centers = [np.argmax(row) for row in fb.weights]
+        assert fb.shape == (128, 1025)
+        centers = [np.argmax(row) for row in fb]
         assert all(b >= a for a, b in zip(centers, centers[1:]))
-        assert np.all(fb.weights.sum(axis=1) > 0)
-        assert np.all(fb.weights >= 0)
+        assert np.all(fb.sum(axis=1) > 0)
+        assert np.all(fb >= 0)
 
     def test_rows_are_unimodal(self):
         fb = mel_filterbank(22050, 1024, n_mels=40)
-        for row in fb.weights:
+        for row in fb:
             peak = np.argmax(row)
             assert np.all(np.diff(row[: peak + 1]) >= -1e-12)
             assert np.all(np.diff(row[peak:]) <= 1e-12)
@@ -132,13 +132,13 @@ class TestMelFilterbank:
         fb = mel_filterbank(48000, 2048, n_mels=64, fmin_hz=100.0, fmax_hz=8000.0)
         freqs = np.arange(1025) * 48000 / 2048
         inside = (freqs > 100.0) & (freqs < 8000.0)
-        assert np.all(fb.weights.sum(axis=0)[inside] > 0)
+        assert np.all(fb.sum(axis=0)[inside] > 0)
 
     def test_area_normalization(self):
         peak = mel_filterbank(48000, 2048, n_mels=32)
         area = mel_filterbank(48000, 2048, n_mels=32, normalization="area")
-        assert np.max(area.weights) < np.max(peak.weights)
-        assert np.all((peak.weights > 0) == (area.weights > 0))
+        assert np.max(area) < np.max(peak)
+        assert np.all((peak > 0) == (area > 0))
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -172,7 +172,7 @@ class TestApplyFilterbank:
         spec_like.values = power
         mel = apply_filterbank(spec_like, fb)
         active = np.flatnonzero(mel[:, 0] > 0)
-        expected = np.flatnonzero(fb.weights[:, k] > 0)
+        expected = np.flatnonzero(fb[:, k] > 0)
         assert len(expected) <= 2
         np.testing.assert_array_equal(active, expected)
 
