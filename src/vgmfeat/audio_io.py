@@ -1,8 +1,9 @@
 """WAV decoding and the preprocessing chain: mixdown, resample, normalize, trim.
 
 The canonical order is decode -> mixdown -> resample -> peak normalize ->
-center trim, so the normalization gain is computed on the full file before
-the clip is cut.
+center trim. The normalization gain is computed on the whole resampled
+track, but `preprocess` multiplies it into the trimmed clip only; the clip
+equals the same span of the fully normalized track bit for bit.
 """
 
 import math
@@ -25,6 +26,14 @@ RESAMPLE_KAISER_BETA = 0.1102 * (80.0 - 8.7)
 # starts or stops abruptly has a broadband edge, and that edge would alias
 # into the output band however good the low-pass filter is.
 RESAMPLE_FADE_SAMPLES = 32
+# Output periods (of `up` outputs each) per resampler block: a block's input
+# span, about 1.2 MB at 44.1 -> 48 kHz, stays in a 2 MiB L2 cache across all
+# polyphase branches. 1024 was fastest in a sweep on a 240 s track (256 and
+# 2048 were slower, 4096 gained little). It must stay a multiple of 8: the
+# BLAS matrix-vector product computes rows in groups, and a block edge that
+# splits a group changes the summation order of the rows next to it (891
+# changed output bits, 896 did not).
+RESAMPLE_BLOCK_PERIODS = 1024
 
 
 @dataclass
@@ -205,6 +214,9 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     the output length is round(n * target_rate / source_rate). A matching
     target rate returns the input samples untouched; otherwise the first and
     last RESAMPLE_FADE_SAMPLES input samples are tapered with a raised cosine.
+    The branch loop runs over blocks of RESAMPLE_BLOCK_PERIODS output
+    periods; as long as that is a multiple of 8 the output does not depend
+    on the block size.
 
     Raises:
         ValueError: non-positive target rate or empty input.
@@ -235,14 +247,31 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 
     out = np.empty(n_out, dtype=np.float64)
     # Outputs j, j+up, j+2*up, ... share the polyphase branch (j*down) % up and
-    # read input windows spaced `down` samples apart.
-    for j0 in range(min(up, n_out)):
-        u = j0 * down
-        branch = bank[u % up]
-        start = u // up + 1  # window start, offset by the left padding
-        count = 1 + (n_out - 1 - j0) // up
-        out[j0::up] = windows[start : start + count * down : down] @ branch
+    # read input windows spaced `down` samples apart, starting at (j*down)//up
+    # (offset by the left padding). Each output period shifts the input by `down`.
+    branches = [(bank[j0 * down % up], j0 * down // up + 1) for j0 in range(min(up, n_out))]
+    block_len = RESAMPLE_BLOCK_PERIODS * up
+    for b0 in range(0, n_out, block_len):
+        block = out[b0 : b0 + block_len]
+        shift = b0 // up * down
+        for j0, (branch, start) in enumerate(branches[: len(block)]):
+            rows = (len(block) - 1 - j0) // up + 1
+            first = start + shift
+            block[j0::up] = windows[first : first + rows * down : down] @ branch
     return AudioBuffer(out, int(target_rate))
+
+
+def peak_gain(samples: np.ndarray, target_peak_dbfs: float) -> float:
+    """The constant that puts the absolute peak of `samples` on the dBFS target.
+
+    Raises:
+        SilentAudioError: all-zero input has no peak to normalize.
+    """
+    # max(x.max(), -x.min()) is exactly max(|x|), without a full-length temporary.
+    peak = max(samples.max(), -samples.min()) if len(samples) else 0.0
+    if peak == 0.0:
+        raise SilentAudioError("cannot normalize silent audio")
+    return 10.0 ** (target_peak_dbfs / 20.0) / peak
 
 
 def peak_normalize(buf: AudioBuffer, target_peak_dbfs: float) -> AudioBuffer:
@@ -251,11 +280,7 @@ def peak_normalize(buf: AudioBuffer, target_peak_dbfs: float) -> AudioBuffer:
     Raises:
         SilentAudioError: all-zero input has no peak to normalize.
     """
-    peak = np.max(np.abs(buf.samples)) if len(buf.samples) else 0.0
-    if peak == 0.0:
-        raise SilentAudioError("cannot normalize silent audio")
-    gain = 10.0 ** (target_peak_dbfs / 20.0) / peak
-    return AudioBuffer(buf.samples * gain, buf.sample_rate_hz)
+    return AudioBuffer(buf.samples * peak_gain(buf.samples, target_peak_dbfs), buf.sample_rate_hz)
 
 
 def center_trim(buf: AudioBuffer, duration_s: float) -> AudioBuffer:
@@ -278,12 +303,17 @@ def center_trim(buf: AudioBuffer, duration_s: float) -> AudioBuffer:
 
 
 def preprocess(buf: AudioBuffer, spec: PreprocessSpec) -> AudioBuffer:
-    """Run resample -> peak normalize -> center trim on a decoded buffer (see PreprocessSpec)."""
+    """Run resample -> peak normalize -> center trim on a decoded buffer (see PreprocessSpec).
+
+    The gain comes from the whole resampled track but scales only the clip,
+    which equals center_trim(peak_normalize(resample(buf))) bit for bit.
+    """
     out = resample(buf, spec.target_sample_rate_hz)
-    out = peak_normalize(out, spec.target_peak_dbfs)
+    gain = peak_gain(out.samples, spec.target_peak_dbfs)
     n_clip = _round_half_up(spec.clip_duration_s * out.sample_rate_hz)
     if spec.pad_short and len(out.samples) < n_clip:
         left = (n_clip - len(out.samples)) // 2
         right = n_clip - len(out.samples) - left
         out = AudioBuffer(np.pad(out.samples, (left, right)), out.sample_rate_hz)
-    return center_trim(out, spec.clip_duration_s)
+    clip = center_trim(out, spec.clip_duration_s)
+    return AudioBuffer(clip.samples * gain, clip.sample_rate_hz)

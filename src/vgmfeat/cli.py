@@ -65,6 +65,11 @@ def _checked(convert, ok, rule):
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _open_unit = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_families = _checked(
+    lambda text: [f.strip() for f in text.split(",") if f.strip()],
+    lambda names: set(names) <= set(FEATURE_FAMILIES),
+    f"comma-separated names from {','.join(FEATURE_FAMILIES)}",
+)
 
 
 def _default_of(fn, name):
@@ -104,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=_default_of(evaluate_split, "seed"),
                        help="split seed (default %(default)s)")
         p.add_argument("--protocol", choices=("split", "loocv"), default="split")
-        p.add_argument("--features", help=f"comma-separated feature families ({','.join(FEATURE_FAMILIES)})")
+        p.add_argument("--features", type=_families, default=[],
+                       help=f"comma-separated feature families ({','.join(FEATURE_FAMILIES)})")
 
     p = sub.add_parser("preprocess", help="write normalized, trimmed WAVs plus a chained manifest")
     add_common(p)
@@ -205,9 +211,8 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
     if command in ("classify", "report"):
         # Parse the rendered table: classifying from memory must equal classifying from features.csv.
         ds = read_feature_table_csv(table)
-        subset = [f.strip() for f in (args.features or "").split(",") if f.strip()]
-        if subset:
-            ds = select_features(ds, subset)
+        if args.features:
+            ds = select_features(ds, args.features)
         if args.protocol == "loocv":
             report = evaluate_loocv(ds, k=args.k)
         else:

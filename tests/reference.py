@@ -95,3 +95,37 @@ def pitch_class_energy(power_matrix, freqs, fmin_hz=32.7, reference_hz=440.0):
         midi = round(12.0 * math.log2(f / reference_hz) + 69.0)
         out[midi % 12] += power_matrix[k]
     return out
+
+
+def unblocked_resample(samples, source_rate, target_rate, taps, kaiser_beta, n_fade):
+    """The polyphase resampler with one matrix-vector product per branch over the whole track.
+
+    Same kernel bank, padding and edge fade as the library; only the loop is
+    unblocked, so the library's blocked loop must match it bit for bit.
+    """
+    g = math.gcd(target_rate, source_rate)
+    up, down = target_rate // g, source_rate // g
+    n_in = len(samples)
+    n_out = (2 * n_in * up + down) // (2 * down)
+    half = taps // 2
+    cutoff = 0.5 * min(1.0, up / down)
+    i = np.arange(taps)
+    t = np.arange(up)[:, None] / up + (half - 1 - i)[None, :]
+    window = np.i0(kaiser_beta * np.sqrt(1.0 - (t / half) ** 2))
+    window /= np.i0(kaiser_beta)
+    bank = 2.0 * cutoff * np.sinc(2.0 * cutoff * t) * window
+
+    padded = np.pad(samples, (half, taps + half), mode="constant")
+    n_fade = min(n_fade, n_in // 2)
+    ramp = 0.5 - 0.5 * np.cos(np.pi * (np.arange(n_fade) + 0.5) / n_fade)
+    padded[half : half + n_fade] *= ramp
+    padded[half + n_in - n_fade : half + n_in] *= ramp[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
+
+    out = np.empty(n_out, dtype=np.float64)
+    for j0 in range(min(up, n_out)):
+        u = j0 * down
+        start = u // up + 1
+        count = 1 + (n_out - 1 - j0) // up
+        out[j0::up] = windows[start : start + count * down : down] @ bank[u % up]
+    return out

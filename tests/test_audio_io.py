@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vgmfeat.audio_io import (
+    RESAMPLE_FADE_SAMPLES,
+    RESAMPLE_KAISER_BETA,
+    RESAMPLE_TAPS_PER_PHASE,
     AudioBuffer,
     PreprocessSpec,
     center_trim,
@@ -17,7 +20,7 @@ from vgmfeat.audio_io import (
 from vgmfeat.errors import SilentAudioError, TooShortError, UnsupportedWavError, VgmfeatError, WavDecodeError
 
 from conftest import sine
-from reference import naive_dft_magnitudes
+from reference import naive_dft_magnitudes, unblocked_resample
 
 
 def wav_bytes(payload, format_tag, channels, rate, bits):
@@ -225,6 +228,20 @@ class TestResample:
         out_rms = np.sqrt(np.mean(out.samples**2))
         assert 20 * np.log10(out_rms / in_rms + 1e-15) < -60.0
 
+    @pytest.mark.parametrize("src, dst", [(44100, 48000), (22050, 48000), (44100, 22050)])
+    def test_blocked_loop_matches_unblocked(self, src, dst):
+        # Each extra `down` input samples add one output period, so one more row
+        # per branch: eight lengths end the branches' last blocks on every
+        # residue mod 8, and every branch spans more than one block.
+        down = src // np.gcd(src, dst)
+        x = np.random.default_rng(3).standard_normal(300000 + 7 * down) * 0.3
+        for extra in range(8):
+            n = 300000 + extra * down
+            got = resample(AudioBuffer(x[:n], src), dst).samples
+            want = unblocked_resample(x[:n], src, dst, RESAMPLE_TAPS_PER_PHASE,
+                                      RESAMPLE_KAISER_BETA, RESAMPLE_FADE_SAMPLES)
+            assert np.array_equal(got, want), f"{n} samples"
+
     def test_invalid_target(self):
         buf = AudioBuffer(np.zeros(10), 44100)
         with pytest.raises(ValueError):
@@ -310,6 +327,66 @@ class TestPreprocess:
         out = preprocess(buf, PreprocessSpec())
         assert out.sample_rate_hz == 48000
         assert len(out.samples) == 720000
+
+
+def composed(buf, spec):
+    """The documented chain with the whole track normalized before the trim."""
+    out = peak_normalize(resample(buf, spec.target_sample_rate_hz), spec.target_peak_dbfs)
+    n_clip = round(spec.clip_duration_s * out.sample_rate_hz)
+    if spec.pad_short and len(out.samples) < n_clip:
+        left = (n_clip - len(out.samples)) // 2
+        out = AudioBuffer(np.pad(out.samples, (left, n_clip - len(out.samples) - left)), out.sample_rate_hz)
+    return center_trim(out, spec.clip_duration_s)
+
+
+def noise_with_spike(n, at, noise=0.05):
+    x = np.random.default_rng(n).standard_normal(n) * noise
+    x[at] = 0.9
+    return x
+
+
+class TestPreprocessEqualsComposedChain:
+    @pytest.mark.parametrize(
+        "x, rate, spec",
+        [
+            pytest.param(noise_with_spike(44100 * 3, 44100 * 3 // 2), 44100, PreprocessSpec(-5.0, 1.0, 48000),
+                         id="peak-inside-clip"),
+            pytest.param(noise_with_spike(44100 * 3, 500), 44100, PreprocessSpec(-5.0, 1.0, 48000),
+                         id="peak-outside-clip"),
+            pytest.param(noise_with_spike(44100 * 3, 10, noise=0.01), 44100, PreprocessSpec(-3.0, 1.0, 48000),
+                         id="peak-inside-fade"),
+            pytest.param(noise_with_spike(48000 * 2 + 1, 7), 48000, PreprocessSpec(-5.0, 1.0, 48000),
+                         id="equal-rates"),
+            pytest.param(noise_with_spike(22050 * 2 + 1, 30000), 22050, PreprocessSpec(-5.0, 1.5, 48000),
+                         id="odd-length"),
+            pytest.param(noise_with_spike(44100 * 3, 44100), 44100, PreprocessSpec(-5.0, 1.0, 22050),
+                         id="downsample"),
+            pytest.param(noise_with_spike(11025 // 2 + 3, 100), 11025, PreprocessSpec(-5.0, 1.0, 8000, pad_short=True),
+                         id="pad-short"),
+        ],
+    )
+    def test_bit_identical(self, x, rate, spec):
+        buf = AudioBuffer(x, rate)
+        got = preprocess(buf, spec)
+        want = composed(buf, spec)
+        assert got.sample_rate_hz == want.sample_rate_hz
+        assert np.array_equal(got.samples, want.samples)
+
+    def test_fade_case_peaks_inside_the_fade(self):
+        # the spike at input sample 10 survives the edge fade as the track's peak
+        x = noise_with_spike(44100 * 3, 10, noise=0.01)
+        y = resample(AudioBuffer(x, 44100), 48000).samples
+        assert np.argmax(np.abs(y)) < RESAMPLE_FADE_SAMPLES * 48000 / 44100
+
+    def test_short_silent_track_is_silent_not_too_short(self):
+        with pytest.raises(SilentAudioError):
+            preprocess(AudioBuffer(np.zeros(4000), 8000), PreprocessSpec(-5.0, 1.0, 8000))
+
+    def test_denormal_peak_still_fails_the_finite_check(self):
+        x = np.zeros(16000)
+        x[8000] = 5e-324
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            preprocess(AudioBuffer(x, 8000), PreprocessSpec(-5.0, 1.0, 8000))
 
 
 class TestValidation:

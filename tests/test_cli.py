@@ -272,6 +272,18 @@ class TestReportCommand:
         assert read_feature_table_csv((out / "features.csv").read_text()).matrix.shape == (9, 57)
 
 
+class TestGoldenOutput:
+    def test_extract_matches_committed_features_csv(self, tmp_path):
+        # Pins the determinism contract: any change to an output byte fails
+        # here and has to regenerate the golden file on purpose.
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        assert cli.main(["synth-corpus", "--out", str(corpus), "--seed", "7", "--games-per-genre", "1",
+                         "--tracks-per-game", "1", "--duration", "20"]) == 0
+        assert cli.main(["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "data" / "golden_features_seed7.csv"
+        assert (out / "features.csv").read_bytes() == golden.read_bytes()
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert cli.main(["polish"]) == 1
@@ -293,6 +305,15 @@ class TestUsageErrors:
         rc = cli.main(["report", "--manifest", "m.csv", "--out", str(tmp_path), flag, value])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_unknown_feature_family_before_extraction(self, small_corpus, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        rc = cli.main([command, "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
+                       "--features", "tempo,bogus"])
+        assert rc == 1
+        assert "--features" in capsys.readouterr().err
+        assert not (out / "features.csv").exists()
 
     def test_no_output_dir(self, small_corpus, monkeypatch, capsys):
         monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
