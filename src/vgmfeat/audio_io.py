@@ -17,6 +17,9 @@ from .errors import SilentAudioError, TooShortError, UnsupportedWavError, WavDec
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Size field a streaming writer leaves in a data chunk whose length it never
+# patched in: the data runs to end of file.
+WAV_STREAMED_SIZE = 0xFFFFFFFF
 
 # Windowed-sinc resampler quality knobs: 64 taps per polyphase branch and a
 # Kaiser window designed for ~80 dB stop-band attenuation.
@@ -90,7 +93,9 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     Handles PCM 16-bit, PCM 24-bit and IEEE float-32 data chunks; integer
     samples are scaled to [-1, 1] (16-bit by 1/32768, 24-bit by 1/8388608)
-    and multi-channel audio is averaged to mono sample-wise.
+    and multi-channel audio is averaged to mono sample-wise. A data chunk
+    sized 0xFFFFFFFF (a streamed file) runs to end of file; a trailing
+    partial frame is dropped.
 
     Raises:
         WavDecodeError: malformed container; the message names the chunk.
@@ -118,6 +123,9 @@ def decode_wav(data: bytes) -> AudioBuffer:
                 (sub_format,) = struct.unpack_from("<H", body, 24)
                 fmt = (sub_format,) + fmt[1:]
         elif chunk_id == b"data":
+            if chunk_size == WAV_STREAMED_SIZE:
+                raw = body  # the rest of the file; nothing can follow it
+                break
             if len(body) < chunk_size:
                 raise WavDecodeError("truncated data chunk")
             raw = body
@@ -265,13 +273,18 @@ def peak_gain(samples: np.ndarray, target_peak_dbfs: float) -> float:
     """The constant that puts the absolute peak of `samples` on the dBFS target.
 
     Raises:
-        SilentAudioError: all-zero input has no peak to normalize.
+        SilentAudioError: all-zero input has no peak to normalize, and a
+            subnormal peak would need an infinite gain.
     """
     # max(x.max(), -x.min()) is exactly max(|x|), without a full-length temporary.
-    peak = max(samples.max(), -samples.min()) if len(samples) else 0.0
+    # As a Python float, a subnormal peak divides to inf without a numpy overflow warning.
+    peak = float(max(samples.max(), -samples.min())) if len(samples) else 0.0
     if peak == 0.0:
         raise SilentAudioError("cannot normalize silent audio")
-    return 10.0 ** (target_peak_dbfs / 20.0) / peak
+    gain = 10.0 ** (target_peak_dbfs / 20.0) / peak
+    if not math.isfinite(gain):
+        raise SilentAudioError(f"peak {peak:g} is too small to normalize")
+    return gain
 
 
 def peak_normalize(buf: AudioBuffer, target_peak_dbfs: float) -> AudioBuffer:

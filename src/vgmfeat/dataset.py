@@ -341,13 +341,13 @@ def read_feature_table_csv(text: str) -> LabeledDataset:
 
 
 def feature_table_json(rows) -> str:
-    """JSON mirror of the feature CSV: one object per track, same columns."""
+    """JSON mirror of the feature CSV: one object per track, same columns and digits."""
     rows = list(rows)
     names = _column_names(rows)
     entries = []
     for track_id, feats, genre in rows:
         entry = {"track_id": track_id}
-        entry.update({name: float(v) for name, v in zip(names, feats.as_vector())})
+        entry.update({name: float(format_float(v)) for name, v in zip(names, feats.as_vector())})
         entry["genre"] = genre.token
         entries.append(entry)
     return json.dumps(entries, indent=2) + "\n"

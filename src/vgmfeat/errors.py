@@ -14,7 +14,7 @@ class UnsupportedWavError(WavDecodeError):
 
 
 class SilentAudioError(VgmfeatError):
-    """Raised when peak normalization is asked to scale an all-zero signal."""
+    """Raised when peak normalization is asked to scale an all-zero or subnormal-peak signal."""
 
 
 class TooShortError(VgmfeatError):

@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .audio_io import AudioBuffer
 from .errors import NoTempoError
@@ -97,6 +96,15 @@ def chroma(
     return FrameSeries(energy, "chroma")
 
 
+def _dct2_ortho_basis(n_out: int, n_in: int) -> np.ndarray:
+    """First n_out rows of the n_in-point orthonormal DCT-II matrix."""
+    k = np.arange(n_out)[:, None]
+    basis = np.cos(np.pi * k * (2.0 * np.arange(n_in) + 1.0) / (2.0 * n_in))
+    basis *= math.sqrt(2.0 / n_in)
+    basis[0] = math.sqrt(1.0 / n_in)
+    return basis
+
+
 def mfcc(mel_power: np.ndarray, n_mfcc: int) -> FrameSeries:
     """Cepstral coefficients: orthonormal DCT-II of log(mel + 1e-10) per frame."""
     mel_power = np.asarray(mel_power, dtype=np.float64)
@@ -106,9 +114,8 @@ def mfcc(mel_power: np.ndarray, n_mfcc: int) -> FrameSeries:
         raise ValueError("mel_power entries must be non-negative")
     if not 1 <= n_mfcc <= mel_power.shape[0]:
         raise ValueError(f"n_mfcc must be in [1, {mel_power.shape[0]}], got {n_mfcc}")
-    coeffs = scipy.fft.dct(np.log(mel_power + MFCC_LOG_FLOOR), type=2, axis=0, norm="ortho")
-    # copy, so the kept rows do not pin the full n_mels-row transform
-    return FrameSeries(coeffs[:n_mfcc].copy(), "mfcc")
+    basis = _dct2_ortho_basis(n_mfcc, mel_power.shape[0])
+    return FrameSeries(basis @ np.log(mel_power + MFCC_LOG_FLOOR), "mfcc")
 
 
 def onset_envelope(spec: Spectrogram) -> np.ndarray:

@@ -166,6 +166,25 @@ class TestDecodeWav:
         with pytest.raises(WavDecodeError, match="truncated fmt extension"):
             decode_wav(raw[: fmt_at + 8 + 20])
 
+    @pytest.mark.parametrize(
+        "frames, format_tag, bits",
+        [
+            pytest.param(np.array([[0, 16384], [-32768, 8192]], dtype="<i2"), 1, 16, id="pcm16"),
+            pytest.param(np.array([[0.25, -0.75], [0.5, 0.0]], dtype="<f4"), 3, 32, id="float32"),
+        ],
+    )
+    def test_streamed_data_chunk_runs_to_end_of_file(self, frames, format_tag, bits):
+        full = wav_bytes(frames.tobytes(), format_tag, 2, 48000, bits)
+        size_at = full.index(b"data") + 4
+        # a streaming writer leaves both size fields unpatched; one byte of a third frame trails
+        streamed = bytearray(full + b"\x01")
+        streamed[4:8] = streamed[size_at : size_at + 4] = b"\xff\xff\xff\xff"
+        want = decode_wav(full).samples
+        got = decode_wav(bytes(streamed))
+        assert got.sample_rate_hz == 48000
+        assert np.array_equal(got.samples, want)
+        assert len(want) == 2
+
     def test_non_finite_float_samples(self):
         payload = np.array([0.25, np.nan, np.inf], dtype="<f4").tobytes()
         with pytest.raises(WavDecodeError, match="NaN or Inf"):
@@ -382,10 +401,11 @@ class TestPreprocessEqualsComposedChain:
         with pytest.raises(SilentAudioError):
             preprocess(AudioBuffer(np.zeros(4000), 8000), PreprocessSpec(-5.0, 1.0, 8000))
 
-    def test_denormal_peak_still_fails_the_finite_check(self):
+    def test_denormal_peak_is_silent(self):
+        # the gain would overflow to inf; no numpy overflow may happen on the way
         x = np.zeros(16000)
         x[8000] = 5e-324
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        with np.errstate(all="raise"), pytest.raises(SilentAudioError):
             preprocess(AudioBuffer(x, 8000), PreprocessSpec(-5.0, 1.0, 8000))
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -282,6 +283,40 @@ class TestGoldenOutput:
         assert cli.main(["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(out)]) == 0
         golden = Path(__file__).parent / "data" / "golden_features_seed7.csv"
         assert (out / "features.csv").read_bytes() == golden.read_bytes()
+
+
+def run_child(args, openblas_threads):
+    """Run a fresh interpreter on this checkout's package with OPENBLAS_NUM_THREADS set."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(openblas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+class TestBlasThreads:
+    """Importing vgmfeat pins BLAS to one thread, so output bytes do not depend on the machine."""
+
+    PROBE = "import os, sys, vgmfeat.cli; print(len(os.listdir('/proc/self/task')), 'scipy' in sys.modules)"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_import_runs_one_thread_without_scipy(self):
+        proc = run_child(["-c", self.PROBE], openblas_threads=2)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "False"]
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth-corpus", "--out", str(corpus), "--seed", "7", "--games-per-genre", "1",
+                         "--tracks-per-game", "1", "--duration", "20"]) == 0
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"out{threads}"
+            proc = run_child(["-m", "vgmfeat", "extract", "--manifest", str(corpus / "manifest.csv"),
+                              "--out", str(out)], openblas_threads=threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert Path("features.json") in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestUsageErrors:
