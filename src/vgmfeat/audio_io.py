@@ -20,6 +20,8 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # Size field a streaming writer leaves in a data chunk whose length it never
 # patched in: the data runs to end of file.
 WAV_STREAMED_SIZE = 0xFFFFFFFF
+# (format tag, bits per sample) pairs decode_wav decodes.
+WAV_CODECS = {(WAVE_FORMAT_PCM, 16), (WAVE_FORMAT_PCM, 24), (WAVE_FORMAT_IEEE_FLOAT, 32)}
 
 # Windowed-sinc resampler quality knobs: 64 taps per polyphase branch and a
 # Kaiser window designed for ~80 dB stop-band attenuation.
@@ -29,14 +31,18 @@ RESAMPLE_KAISER_BETA = 0.1102 * (80.0 - 8.7)
 # starts or stops abruptly has a broadband edge, and that edge would alias
 # into the output band however good the low-pass filter is.
 RESAMPLE_FADE_SAMPLES = 32
-# Output periods (of `up` outputs each) per resampler block: a block's input
-# span, about 1.2 MB at 44.1 -> 48 kHz, stays in a 2 MiB L2 cache across all
-# polyphase branches. 1024 was fastest in a sweep on a 240 s track (256 and
-# 2048 were slower, 4096 gained little). It must stay a multiple of 8: the
-# BLAS matrix-vector product computes rows in groups, and a block edge that
-# splits a group changes the summation order of the rows next to it (891
-# changed output bits, 896 did not).
+# Output periods (of `up` outputs each) per resampler block; each block is
+# one matrix product per branch group. Blocks start at multiples of this
+# constant whatever the input, because a matrix product's low bits depend on
+# how its rows are split across calls: a fixed grid keeps the output
+# independent of where the track's edges fall. In a sweep over 512-4096 on
+# 240 s tracks, 2048 was up to 15 % faster at 32 -> 48 and 44.1 -> 22.05 kHz
+# but no faster at 44.1 -> 48 kHz; 1024 keeps the scratch rows (at most 2 MB)
+# within one core's 2 MiB L2.
 RESAMPLE_BLOCK_PERIODS = 1024
+# Widest input span, in taps, that one branch group's kernel may cover, so
+# the kernels hold at most this many times the polyphase bank whatever the ratio.
+RESAMPLE_GROUP_SPAN_TAPS = 4
 
 
 @dataclass
@@ -109,10 +115,11 @@ def decode_wav(data: bytes) -> AudioBuffer:
     fmt = None
     raw = None
     pos = 12
+    view = memoryview(data)  # chunk bodies are views: the data chunk is never copied
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if chunk_size < 16 or len(body) < 16:
                 raise WavDecodeError("truncated fmt chunk")
@@ -142,23 +149,28 @@ def decode_wav(data: bytes) -> AudioBuffer:
     if sample_rate <= 0:
         raise WavDecodeError("fmt chunk declares non-positive sample rate")
 
-    if format_tag == WAVE_FORMAT_PCM and bits == 16:
+    if (format_tag, bits) not in WAV_CODECS:
+        raise UnsupportedWavError(
+            f"unsupported codec: format tag {format_tag}, {bits} bits per sample"
+        )
+    if block_align != n_channels * bits // 8:
+        raise WavDecodeError(
+            f"fmt chunk declares block_align {block_align}, not {n_channels} channels x {bits} bits / 8"
+        )
+
+    if bits == 16:
         x = np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2").astype(np.float64)
         x /= 32768.0
-    elif format_tag == WAVE_FORMAT_PCM and bits == 24:
+    elif bits == 24:
         b = np.frombuffer(raw[: len(raw) - len(raw) % 3], dtype=np.uint8)
         b = b.reshape(-1, 3).astype(np.int32)
         # assemble into the top 3 bytes of an int32, arithmetic shift sign-extends
         x = ((b[:, 0] << 8) | (b[:, 1] << 16) | (b[:, 2] << 24)) >> 8
         x = x.astype(np.float64) / 8388608.0
-    elif format_tag == WAVE_FORMAT_IEEE_FLOAT and bits == 32:
+    else:
         x = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(x)):
             raise WavDecodeError("data chunk holds NaN or Inf samples")
-    else:
-        raise UnsupportedWavError(
-            f"unsupported codec: format tag {format_tag}, {bits} bits per sample"
-        )
 
     n_frames = len(x) // n_channels
     x = x[: n_frames * n_channels]
@@ -215,16 +227,64 @@ def _sinc_kernel_bank(up: int, down: int) -> np.ndarray:
     return 2.0 * cutoff * np.sinc(2.0 * cutoff * t) * window
 
 
+def _branch_groups(up: int, down: int, n_branches: int):
+    """Matrix kernels for the first n_branches polyphase branches, in consecutive groups.
+
+    Output j of every period reads `taps` inputs from offset starts[j] =
+    j*down//up + 1 (relative to the period's input shift). A group of branches
+    ja..jb-1 is one kernel of shape (span, jb - ja) whose column j - ja holds
+    branch j's taps at rows starts[j] - starts[ja] onwards; its span stays
+    within RESAMPLE_GROUP_SPAN_TAPS * taps. Returns [(offset, ja, jb, kernel)].
+    """
+    bank = _sinc_kernel_bank(up, down)
+    taps = bank.shape[1]
+    starts = [j * down // up + 1 for j in range(n_branches)]
+    groups = []
+    ja = 0
+    while ja < n_branches:
+        jb = ja + 1
+        while jb < n_branches and starts[jb] - starts[ja] + taps <= RESAMPLE_GROUP_SPAN_TAPS * taps:
+            jb += 1
+        kernel = np.zeros((starts[jb - 1] - starts[ja] + taps, jb - ja))
+        for j in range(ja, jb):
+            row = starts[j] - starts[ja]
+            kernel[row : row + taps, j - ja] = bank[j * down % up]
+        groups.append((starts[ja], ja, jb, kernel))
+        ja = jb
+    return groups
+
+
+def _faded_span(x: np.ndarray, ramp: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """x[lo:hi] with zeros outside x and its first and last len(ramp) samples faded.
+
+    A span clear of both fades is a view of x; any other is a fresh copy.
+    """
+    n_in, n_fade = len(x), len(ramp)
+    if n_fade <= lo and hi <= n_in - n_fade:
+        return x[lo:hi]
+    seg = np.zeros(hi - lo)
+    pieces = (
+        (0, x[:n_fade] * ramp),
+        (n_fade, x[n_fade : n_in - n_fade]),
+        (n_in - n_fade, x[n_in - n_fade :] * ramp[::-1]),
+    )
+    for at, piece in pieces:
+        a, b = max(lo, at), min(hi, at + len(piece))
+        if a < b:
+            seg[a - lo : b - lo] = piece[a - at : b - at]
+    return seg
+
+
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Resample with a polyphase windowed-sinc filter.
 
     The rational ratio up/down is the reduced target/source rate pair and
     the output length is round(n * target_rate / source_rate). A matching
-    target rate returns the input samples untouched; otherwise the first and
-    last RESAMPLE_FADE_SAMPLES input samples are tapered with a raised cosine.
-    The branch loop runs over blocks of RESAMPLE_BLOCK_PERIODS output
-    periods; as long as that is a multiple of 8 the output does not depend
-    on the block size.
+    target rate returns the input samples untouched; otherwise the input is
+    zero-padded and its first and last RESAMPLE_FADE_SAMPLES samples are
+    tapered with a raised cosine. Each block of RESAMPLE_BLOCK_PERIODS output
+    periods is one matrix product per branch group (see _branch_groups),
+    on a block grid that does not depend on the input length.
 
     Raises:
         ValueError: non-positive target rate or empty input.
@@ -239,34 +299,33 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     g = math.gcd(int(target_rate), buf.sample_rate_hz)
     up = int(target_rate) // g
     down = buf.sample_rate_hz // g
-    n_in = len(buf.samples)
+    x = buf.samples
+    n_in = len(x)
     n_out = (2 * n_in * up + down) // (2 * down)  # round-half-up of n_in*up/down
 
-    bank = _sinc_kernel_bank(up, down)
-    taps = bank.shape[1]
-    half = taps // 2
-    padded = np.pad(buf.samples, (half, taps + half), mode="constant")
-    # Fade the padded copy in place; a faded copy of the input would cost one more full-length array.
     n_fade = min(RESAMPLE_FADE_SAMPLES, n_in // 2)
     ramp = 0.5 - 0.5 * np.cos(np.pi * (np.arange(n_fade) + 0.5) / n_fade)
-    padded[half : half + n_fade] *= ramp
-    padded[half + n_in - n_fade : half + n_in] *= ramp[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
-
-    out = np.empty(n_out, dtype=np.float64)
-    # Outputs j, j+up, j+2*up, ... share the polyphase branch (j*down) % up and
-    # read input windows spaced `down` samples apart, starting at (j*down)//up
-    # (offset by the left padding). Each output period shifts the input by `down`.
-    branches = [(bank[j0 * down % up], j0 * down // up + 1) for j0 in range(min(up, n_out))]
-    block_len = RESAMPLE_BLOCK_PERIODS * up
-    for b0 in range(0, n_out, block_len):
-        block = out[b0 : b0 + block_len]
-        shift = b0 // up * down
-        for j0, (branch, start) in enumerate(branches[: len(block)]):
-            rows = (len(block) - 1 - j0) // up + 1
-            first = start + shift
-            block[j0::up] = windows[first : first + rows * down : down] @ branch
-    return AudioBuffer(out, int(target_rate))
+    # Period k's outputs form row k of `table`. Its input span starts k*down
+    # samples after period 0's, which starts taps/2 zeros before the track.
+    cols = max(1, min(up, n_out))  # one branch even when no output is due
+    groups = _branch_groups(up, down, cols)
+    last_offset, *_, last_kernel = groups[-1]
+    width = last_offset + len(last_kernel)  # input span of one period
+    n_per = -(-n_out // cols)
+    out = np.empty(n_per * cols)
+    table = out.reshape(n_per, cols)
+    # At most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB), whatever the ratio.
+    tmp = np.empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
+    for p0 in range(0, n_per, RESAMPLE_BLOCK_PERIODS):
+        rows = min(RESAMPLE_BLOCK_PERIODS, n_per - p0)
+        lo = p0 * down - RESAMPLE_TAPS_PER_PHASE // 2
+        seg = _faded_span(x, ramp, lo, lo + (rows - 1) * down + width)
+        spans = np.lib.stride_tricks.sliding_window_view(seg, width)[::down]
+        for offset, ja, jb, kernel in groups:
+            block = tmp[: rows * len(kernel)].reshape(rows, len(kernel))
+            np.copyto(block, spans[:, offset : offset + len(kernel)])
+            np.matmul(block, kernel, out=table[p0 : p0 + rows, ja:jb])
+    return AudioBuffer(out[:n_out], int(target_rate))
 
 
 def peak_gain(samples: np.ndarray, target_peak_dbfs: float) -> float:
@@ -329,4 +388,5 @@ def preprocess(buf: AudioBuffer, spec: PreprocessSpec) -> AudioBuffer:
         right = n_clip - len(out.samples) - left
         out = AudioBuffer(np.pad(out.samples, (left, right)), out.sample_rate_hz)
     clip = center_trim(out, spec.clip_duration_s)
-    return AudioBuffer(clip.samples * gain, clip.sample_rate_hz)
+    clip.samples *= gain  # center_trim returned a copy; |clip| * gain stays within the target peak
+    return clip

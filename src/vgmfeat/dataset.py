@@ -237,6 +237,7 @@ def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
         data = path.read_bytes()
         stage = "decode"
         buf = decode_wav(data)
+        del data  # the file bytes are not needed past decoding; free them before the resampler runs
         stage = "preprocess"
         clip = preprocess(buf, pre)
         stage = last_stage

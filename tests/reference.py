@@ -97,30 +97,41 @@ def pitch_class_energy(power_matrix, freqs, fmin_hz=32.7, reference_hz=440.0):
     return out
 
 
-def unblocked_resample(samples, source_rate, target_rate, taps, kaiser_beta, n_fade):
-    """The polyphase resampler with one matrix-vector product per branch over the whole track.
-
-    Same kernel bank, padding and edge fade as the library; only the loop is
-    unblocked, so the library's blocked loop must match it bit for bit.
-    """
-    g = math.gcd(target_rate, source_rate)
-    up, down = target_rate // g, source_rate // g
-    n_in = len(samples)
-    n_out = (2 * n_in * up + down) // (2 * down)
+def sinc_bank(up, down, taps, kaiser_beta):
+    """Polyphase Kaiser-windowed sinc bank: row p holds the taps for fractional position p/up."""
     half = taps // 2
     cutoff = 0.5 * min(1.0, up / down)
     i = np.arange(taps)
     t = np.arange(up)[:, None] / up + (half - 1 - i)[None, :]
     window = np.i0(kaiser_beta * np.sqrt(1.0 - (t / half) ** 2))
     window /= np.i0(kaiser_beta)
-    bank = 2.0 * cutoff * np.sinc(2.0 * cutoff * t) * window
+    return 2.0 * cutoff * np.sinc(2.0 * cutoff * t) * window
 
-    padded = np.pad(samples, (half, taps + half), mode="constant")
+
+def padded_faded(samples, taps, n_fade, right):
+    """The resampler input: taps//2 zeros, the samples with raised-cosine ends, `right` zeros."""
+    half = taps // 2
+    n_in = len(samples)
+    padded = np.pad(samples, (half, right), mode="constant")
     n_fade = min(n_fade, n_in // 2)
     ramp = 0.5 - 0.5 * np.cos(np.pi * (np.arange(n_fade) + 0.5) / n_fade)
     padded[half : half + n_fade] *= ramp
     padded[half + n_in - n_fade : half + n_in] *= ramp[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
+    return padded
+
+
+def unblocked_resample(samples, source_rate, target_rate, taps, kaiser_beta, n_fade):
+    """The polyphase resampler with one matrix-vector product per branch over the whole track.
+
+    Same kernel bank, padding and edge fade as the library, but every output
+    is its own dot product over one window: an independent check of the
+    library's block matrix products, equal up to summation order.
+    """
+    g = math.gcd(target_rate, source_rate)
+    up, down = target_rate // g, source_rate // g
+    n_out = (2 * len(samples) * up + down) // (2 * down)
+    bank = sinc_bank(up, down, taps, kaiser_beta)
+    windows = np.lib.stride_tricks.sliding_window_view(padded_faded(samples, taps, n_fade, taps + taps // 2), taps)
 
     out = np.empty(n_out, dtype=np.float64)
     for j0 in range(min(up, n_out)):
@@ -129,3 +140,45 @@ def unblocked_resample(samples, source_rate, target_rate, taps, kaiser_beta, n_f
         count = 1 + (n_out - 1 - j0) // up
         out[j0::up] = windows[start : start + count * down : down] @ bank[u % up]
     return out
+
+
+def padded_gemm_resample(samples, source_rate, target_rate, taps, kaiser_beta, n_fade,
+                         block_periods, group_span_taps):
+    """The library's block matrix products, run over a fully materialised padded, faded track.
+
+    Branches are grouped greedily so each group's input span stays within
+    group_span_taps * taps; each block of block_periods output periods is one
+    product per group of a contiguous copy of its input rows with the group
+    kernel. The library, which builds only the edge blocks' input from
+    padded copies, must match this bit for bit.
+    """
+    g = math.gcd(target_rate, source_rate)
+    up, down = target_rate // g, source_rate // g
+    n_out = (2 * len(samples) * up + down) // (2 * down)
+    bank = sinc_bank(up, down, taps, kaiser_beta)
+    cols = max(1, min(up, n_out))
+    n_per = -(-n_out // cols)
+    starts = [j * down // up + 1 for j in range(cols)]
+    padded = padded_faded(samples, taps, n_fade, max(0, n_per * down + starts[-1] + taps - len(samples)))
+
+    groups = []
+    ja = 0
+    while ja < cols:
+        jb = ja + 1
+        while jb < cols and starts[jb] - starts[ja] + taps <= group_span_taps * taps:
+            jb += 1
+        kernel = np.zeros((starts[jb - 1] - starts[ja] + taps, jb - ja))
+        for j in range(ja, jb):
+            kernel[starts[j] - starts[ja] :][:taps, j - ja] = bank[j * down % up]
+        groups.append((ja, jb, kernel))
+        ja = jb
+
+    table = np.empty((n_per, cols))
+    for p0 in range(0, n_per, block_periods):
+        rows = min(block_periods, n_per - p0)
+        for ja, jb, kernel in groups:
+            first = starts[ja] + p0 * down
+            windows = np.lib.stride_tricks.sliding_window_view(padded[first:], len(kernel))
+            chunk = np.ascontiguousarray(windows[: rows * down : down])
+            table[p0 : p0 + rows, ja:jb] = chunk @ kernel
+    return table.ravel()[:n_out]

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vgmfeat import audio_io
 from vgmfeat.audio_io import (
+    RESAMPLE_BLOCK_PERIODS,
     RESAMPLE_FADE_SAMPLES,
+    RESAMPLE_GROUP_SPAN_TAPS,
     RESAMPLE_KAISER_BETA,
     RESAMPLE_TAPS_PER_PHASE,
     AudioBuffer,
     PreprocessSpec,
+    _branch_groups,
     center_trim,
     decode_wav,
     encode_wav,
@@ -20,11 +24,20 @@ from vgmfeat.audio_io import (
 from vgmfeat.errors import SilentAudioError, TooShortError, UnsupportedWavError, VgmfeatError, WavDecodeError
 
 from conftest import sine
-from reference import naive_dft_magnitudes, unblocked_resample
+from reference import naive_dft_magnitudes, padded_gemm_resample, sinc_bank, unblocked_resample
+
+# 44.1 -> 48 kHz is one branch group, 44.1 -> 22.05 kHz has one branch (up = 1),
+# 32 -> 48 kHz has three, and 96 -> 44.1 kHz needs more than one group.
+RATE_PAIRS = [(44100, 48000), (22050, 48000), (44100, 22050), (32000, 48000), (96000, 44100)]
 
 
-def wav_bytes(payload, format_tag, channels, rate, bits):
-    block = channels * bits // 8
+def padded_gemm(x, src, dst):
+    return padded_gemm_resample(x, src, dst, RESAMPLE_TAPS_PER_PHASE, RESAMPLE_KAISER_BETA, RESAMPLE_FADE_SAMPLES,
+                                RESAMPLE_BLOCK_PERIODS, RESAMPLE_GROUP_SPAN_TAPS)
+
+
+def wav_bytes(payload, format_tag, channels, rate, bits, block=None):
+    block = channels * bits // 8 if block is None else block
     return b"".join(
         [
             b"RIFF",
@@ -66,6 +79,10 @@ SAMPLE_WAVS = {
     "pcm24": wav_bytes(bytes([0x00, 0x00, 0x40, 0x00, 0x00, 0xC0, 0x01, 0x00, 0x00]), 1, 1, 48000, 24),
     "float32": wav_bytes(np.array([[0.25, -0.5], [0.0, 1.0]], dtype="<f4").tobytes(), 3, 2, 44100, 32),
     "extensible": extensible_wav_bytes(np.array([0.5, -0.5], dtype="<f4").tobytes(), 3, 1, 48000, 32),
+}
+# Whole files that must fail with a WavDecodeError naming the fmt chunk.
+MALFORMED_WAVS = {
+    "block-align": wav_bytes(np.array([[0, 16384], [-32768, 77]], dtype="<i2").tobytes(), 1, 2, 48000, 16, block=2),
 }
 
 
@@ -185,6 +202,12 @@ class TestDecodeWav:
         assert np.array_equal(got.samples, want)
         assert len(want) == 2
 
+    @pytest.mark.parametrize("block", [0, 2, 6, 8])
+    def test_block_align_must_match_channels_and_bits(self, block):
+        payload = np.array([[0, 16384], [-32768, 77]], dtype="<i2").tobytes()
+        with pytest.raises(WavDecodeError, match="fmt chunk declares block_align"):
+            decode_wav(wav_bytes(payload, 1, 2, 48000, 16, block=block))
+
     def test_non_finite_float_samples(self):
         payload = np.array([0.25, np.nan, np.inf], dtype="<f4").tobytes()
         with pytest.raises(WavDecodeError, match="NaN or Inf"):
@@ -194,20 +217,24 @@ class TestDecodeWav:
 class TestDecodeWavRobustness:
     """decode_wav returns an AudioBuffer or raises VgmfeatError, whatever the bytes."""
 
-    @pytest.mark.parametrize("name", sorted(SAMPLE_WAVS))
+    @pytest.mark.parametrize("name", sorted(SAMPLE_WAVS) + sorted(MALFORMED_WAVS))
     def test_every_prefix(self, name):
-        raw = SAMPLE_WAVS[name]
-        assert isinstance(decode_wav(raw), AudioBuffer)
+        raw = {**SAMPLE_WAVS, **MALFORMED_WAVS}[name]
+        if name in MALFORMED_WAVS:
+            with pytest.raises(WavDecodeError, match="fmt chunk"):
+                decode_wav(raw)
+        else:
+            assert isinstance(decode_wav(raw), AudioBuffer)
         for n in range(len(raw)):
             assert decodes_or_raises_vgmfeat_error(raw[:n]), n
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(
-        name=st.sampled_from(sorted(SAMPLE_WAVS)),
+        name=st.sampled_from(sorted(SAMPLE_WAVS) + sorted(MALFORMED_WAVS)),
         edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), min_size=1, max_size=6),
     )
     def test_byte_mutations(self, name, edits):
-        raw = bytearray(SAMPLE_WAVS[name])
+        raw = bytearray({**SAMPLE_WAVS, **MALFORMED_WAVS}[name])
         for pos, value in edits:
             raw[pos % len(raw)] = value
         assert decodes_or_raises_vgmfeat_error(bytes(raw))
@@ -247,19 +274,51 @@ class TestResample:
         out_rms = np.sqrt(np.mean(out.samples**2))
         assert 20 * np.log10(out_rms / in_rms + 1e-15) < -60.0
 
-    @pytest.mark.parametrize("src, dst", [(44100, 48000), (22050, 48000), (44100, 22050)])
-    def test_blocked_loop_matches_unblocked(self, src, dst):
-        # Each extra `down` input samples add one output period, so one more row
-        # per branch: eight lengths end the branches' last blocks on every
-        # residue mod 8, and every branch spans more than one block.
+    @pytest.mark.parametrize("src, dst", RATE_PAIRS)
+    def test_matches_padded_gemm_oracle(self, src, dst):
+        # Lengths below the taps and below both fades, one block that is both
+        # first and last, then three blocks whose last one holds every row
+        # count mod 16 (with a partial last period when r > 0).
         down = src // np.gcd(src, dst)
-        x = np.random.default_rng(3).standard_normal(300000 + 7 * down) * 0.3
-        for extra in range(8):
-            n = 300000 + extra * down
-            got = resample(AudioBuffer(x[:n], src), dst).samples
-            want = unblocked_resample(x[:n], src, dst, RESAMPLE_TAPS_PER_PHASE,
-                                      RESAMPLE_KAISER_BETA, RESAMPLE_FADE_SAMPLES)
-            assert np.array_equal(got, want), f"{n} samples"
+        lengths = [1, 10, 33, 63, 5000]
+        lengths += [(2 * RESAMPLE_BLOCK_PERIODS + r) * down + r for r in range(16)]
+        x = np.random.default_rng(3).standard_normal(max(lengths)) * 0.3
+        for n in lengths:
+            assert np.array_equal(resample(AudioBuffer(x[:n], src), dst).samples,
+                                  padded_gemm(x[:n], src, dst)), f"{n} samples"
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(pair=st.sampled_from(RATE_PAIRS), n=st.integers(1, 400000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_padded_gemm_oracle_any_length(self, pair, n, seed):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        assert np.array_equal(resample(AudioBuffer(x, pair[0]), pair[1]).samples, padded_gemm(x, *pair))
+
+    @pytest.mark.parametrize("src, dst", RATE_PAIRS)
+    def test_within_rounding_of_matrix_vector_loop(self, src, dst):
+        # Both sum the same 64 products per output (the kernels' zeros add
+        # exactly), each within 64 * eps/2 * sum|h*x| of the exact sum, so two
+        # orderings differ by at most 2 * 64 * eps * L1max * max|x|.
+        g = np.gcd(src, dst)
+        bank = sinc_bank(dst // g, src // g, RESAMPLE_TAPS_PER_PHASE, RESAMPLE_KAISER_BETA)
+        x = np.random.default_rng(5).standard_normal(300001) * 0.3
+        got = resample(AudioBuffer(x, src), dst).samples
+        want = unblocked_resample(x, src, dst, RESAMPLE_TAPS_PER_PHASE, RESAMPLE_KAISER_BETA, RESAMPLE_FADE_SAMPLES)
+        bound = 2 * RESAMPLE_TAPS_PER_PHASE * np.finfo(float).eps * np.abs(bank).sum(axis=1).max() * np.abs(x).max()
+        assert np.max(np.abs(got - want)) <= bound
+
+    def test_kernels_stay_within_four_banks(self, monkeypatch):
+        # 44100 -> 48001 Hz does not reduce (up = 48001, down = 44100): one
+        # kernel over every branch would span ~44 k inputs, about 17 GB.
+        built = []
+        monkeypatch.setattr(audio_io, "_branch_groups",
+                            lambda *args: built.append(_branch_groups(*args)) or built[-1])
+        x = np.random.default_rng(6).standard_normal(882) * 0.3  # 20 ms
+        got = resample(AudioBuffer(x, 44100), 48001).samples
+        assert np.array_equal(got, padded_gemm(x, 44100, 48001))
+        (groups,) = built
+        assert len(groups) > 1
+        n_branches = groups[-1][2]
+        assert sum(kernel.size for *_, kernel in groups) <= 4 * RESAMPLE_TAPS_PER_PHASE * n_branches
 
     def test_invalid_target(self):
         buf = AudioBuffer(np.zeros(10), 44100)
