@@ -54,7 +54,6 @@ from .spectral import (
     Spectrogram,
     StftParams,
     apply_filterbank,
-    fft_real,
     mel_filterbank,
     stft,
 )

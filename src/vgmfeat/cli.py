@@ -14,12 +14,16 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .audio_io import PreprocessSpec, encode_wav
 from .classify import evaluate_loocv, evaluate_split
 from .dataset import (
     FEATURE_FAMILIES,
     AnalysisSpec,
+    LabeledDataset,
     extract_track,
+    feature_names,
     feature_table_json,
     frame_series_csv,
     load_manifest,
@@ -195,14 +199,19 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
         records, base = _load_records(args.manifest)
         results = _map_tracks(records, lambda rec: extract_track(rec, pre, spec, base, with_series), args.jobs)
         feats = [r[0] for r in results] if with_series else results
-        rows = [(rec.path, f, rec.genre) for rec, f in zip(records, feats)]
-        table = write_feature_table_csv(rows)
+        names = feature_names(spec.n_mfcc)
+        ds = LabeledDataset(
+            np.array([f.as_vector() for f in feats]).reshape(len(feats), len(names)),
+            np.array([int(rec.genre) for rec in records], dtype=int),
+            [rec.path for rec in records],
+            names,
+        )
+        table = write_feature_table_csv(ds)
         if command in ("extract", "report"):
             _write(out_dir, "features.csv", table, produced)
-            _write(out_dir, "features.json", feature_table_json(rows), produced)
+            _write(out_dir, "features.json", feature_table_json(ds), produced)
         if with_series:
-            summary = summarize_by_genre([(f, rec.genre) for rec, f in zip(records, feats)])
-            _write(out_dir, "genre_summary.csv", write_genre_summary_csv(summary), produced)
+            _write(out_dir, "genre_summary.csv", write_genre_summary_csv(summarize_by_genre(ds)), produced)
             for i, (rec, (_, series)) in enumerate(zip(records, results)):
                 stem = f"{i:03d}_{Path(rec.path).stem}"
                 for kind, fs in series.items():

@@ -27,7 +27,6 @@ MANIFEST_COLUMNS = ("path", "game", "genre", "title")
 # Feature vector layout: these scalars, the 12 chroma means, then n_mfcc
 # cepstral means and n_mfcc cepstral ranges.
 SCALAR_FEATURES = ("tempo_bpm", "zcr_mean", "zcr_std", "centroid_mean_hz", "centroid_std_hz")
-N_FIXED_FEATURES = len(SCALAR_FEATURES) + len(PITCH_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -87,20 +86,6 @@ class TrackFeatures:
         scalars = [getattr(self, name) for name in SCALAR_FEATURES]
         return np.concatenate([scalars, self.chroma_mean, self.mfcc_mean, self.mfcc_range])
 
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "TrackFeatures":
-        """Inverse of as_vector; n_mfcc follows from the vector length."""
-        vec = np.asarray(vec, dtype=np.float64)
-        n_mfcc, odd = divmod(len(vec) - N_FIXED_FEATURES, 2)
-        if n_mfcc < 1 or odd:
-            raise ValueError(f"expected {N_FIXED_FEATURES} + 2 * n_mfcc scalars, got {len(vec)}")
-        return cls(
-            **{name: float(v) for name, v in zip(SCALAR_FEATURES, vec)},
-            chroma_mean=vec[len(SCALAR_FEATURES) : N_FIXED_FEATURES].copy(),
-            mfcc_mean=vec[N_FIXED_FEATURES : N_FIXED_FEATURES + n_mfcc].copy(),
-            mfcc_range=vec[N_FIXED_FEATURES + n_mfcc :].copy(),
-        )
-
 
 def feature_names(n_mfcc: int = AnalysisSpec.n_mfcc) -> list:
     names = list(SCALAR_FEATURES)
@@ -112,7 +97,11 @@ def feature_names(n_mfcc: int = AnalysisSpec.n_mfcc) -> list:
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix plus labels and track ids, ready for classification."""
+    """The per-track feature table: one row of feature_names columns per track.
+
+    The feature CSV and JSON, the genre summary and classification all read
+    this one form.
+    """
 
     matrix: np.ndarray  # n_tracks x n_features
     labels: np.ndarray  # n_tracks, GenreLabel codes
@@ -190,7 +179,7 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     Returns (TrackFeatures, series) where series maps feature kind to the
     per-frame FrameSeries behind each aggregate.
     """
-    mag = stft(buf, spec.stft, kind="magnitude")
+    mag = stft(buf, spec.stft)
     power = mag.to_power()
 
     zcr = zero_crossing_rate(buf, spec.stft.n_fft, spec.stft.hop)
@@ -263,21 +252,15 @@ def extract_track(
     return (feats, series) if return_series else feats
 
 
-def summarize_by_genre(pairs) -> GenreSummary:
-    """Per-genre element-wise mean/std/min/max over track feature vectors.
+def summarize_by_genre(ds: LabeledDataset) -> GenreSummary:
+    """Per-genre element-wise mean/std/min/max over the table's rows.
 
-    `pairs` is a sequence of (TrackFeatures, GenreLabel). Only genres that
-    appear are summarized, in code order.
+    Only genres that appear are summarized, in code order.
     """
-    pairs = list(pairs)
-    if not pairs:
+    if not len(ds):
         raise ValueError("no tracks to summarize")
-    vectors = np.array([f.as_vector() for f, _ in pairs])
-    labels = np.array([int(g) for _, g in pairs])
-    n_mfcc = (vectors.shape[1] - N_FIXED_FEATURES) // 2
-
-    genres = [g for g in GenreLabel if np.any(labels == int(g))]
-    stacked = [vectors[labels == int(g)] for g in genres]
+    genres = [g for g in GenreLabel if np.any(ds.labels == int(g))]
+    stacked = [ds.matrix[ds.labels == int(g)] for g in genres]
     return GenreSummary(
         genres=genres,
         track_counts=np.array([len(block) for block in stacked]),
@@ -285,7 +268,7 @@ def summarize_by_genre(pairs) -> GenreSummary:
         std=np.array([block.std(axis=0) for block in stacked]),
         minimum=np.array([block.min(axis=0) for block in stacked]),
         maximum=np.array([block.max(axis=0) for block in stacked]),
-        feature_names=feature_names(n_mfcc),
+        feature_names=list(ds.feature_names),
     )
 
 
@@ -299,23 +282,13 @@ def format_float(x: float) -> str:
     return format(float(x), FLOAT_FORMAT)
 
 
-def _column_names(rows) -> list:
-    """Feature columns for the rows, sized by the first row's n_mfcc."""
-    return feature_names(len(rows[0][1].mfcc_mean)) if rows else feature_names()
-
-
-def write_feature_table_csv(rows) -> str:
-    """Render (track_id, TrackFeatures, GenreLabel) rows as the feature CSV."""
-    rows = list(rows)
-    names = _column_names(rows)
+def write_feature_table_csv(ds: LabeledDataset) -> str:
+    """Render the table as the feature CSV; read_feature_table_csv is its inverse."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["track_id"] + names + ["genre"])
-    for track_id, feats, genre in rows:
-        vec = feats.as_vector()
-        if len(vec) != len(names):
-            raise ValueError(f"track {track_id}: expected {len(names)} features, got {len(vec)}")
-        writer.writerow([track_id] + [format_float(v) for v in vec] + [genre.token])
+    writer.writerow(["track_id"] + list(ds.feature_names) + ["genre"])
+    for track_id, vec, code in zip(ds.track_ids, ds.matrix, ds.labels):
+        writer.writerow([track_id] + [format_float(v) for v in vec] + [GenreLabel(int(code)).token])
     return out.getvalue()
 
 
@@ -341,15 +314,13 @@ def read_feature_table_csv(text: str) -> LabeledDataset:
     return LabeledDataset(matrix, np.array(labels, dtype=int), ids, names)
 
 
-def feature_table_json(rows) -> str:
+def feature_table_json(ds: LabeledDataset) -> str:
     """JSON mirror of the feature CSV: one object per track, same columns and digits."""
-    rows = list(rows)
-    names = _column_names(rows)
     entries = []
-    for track_id, feats, genre in rows:
+    for track_id, vec, code in zip(ds.track_ids, ds.matrix, ds.labels):
         entry = {"track_id": track_id}
-        entry.update({name: float(format_float(v)) for name, v in zip(names, feats.as_vector())})
-        entry["genre"] = genre.token
+        entry.update({name: float(format_float(v)) for name, v in zip(ds.feature_names, vec)})
+        entry["genre"] = GenreLabel(int(code)).token
         entries.append(entry)
     return json.dumps(entries, indent=2) + "\n"
 

@@ -150,7 +150,7 @@ def tempo_bpm(
         raise ValueError(
             f"buffer is {buf.duration_s:.2f} s, need at least 4 beats at {low:g} BPM"
         )
-    return tempo_from_spectrogram(stft(buf, params, kind="magnitude"), bpm_range)
+    return tempo_from_spectrogram(stft(buf, params), bpm_range)
 
 
 def tempo_from_spectrogram(spec: Spectrogram, bpm_range: tuple = DEFAULT_TEMPO_RANGE_BPM) -> TempoEstimate:

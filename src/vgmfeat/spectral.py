@@ -64,28 +64,15 @@ def make_window(name: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown window {name!r}, expected one of {WINDOW_FUNCTIONS}")
 
 
-def fft_real(frame: np.ndarray) -> np.ndarray:
-    """DFT of a real frame, bins 0..n/2: X[k] = sum_t frame[t] e^(-2i pi k t / n).
-
-    The frame length must be a power of two. Backed by numpy's FFT; the test
-    suite pins it against a direct O(n^2) DFT.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    n = len(frame)
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"frame length must be a power of two, got {n}")
-    return np.fft.rfft(frame)
-
-
-def stft(buf: AudioBuffer, params: StftParams, kind: str = "magnitude") -> Spectrogram:
-    """Short-time Fourier transform with frames centered on t*hop.
+def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
+    """Magnitude short-time Fourier transform with frames centered on t*hop.
 
     The signal is reflect-padded by n_fft/2 on both ends, so the number of
-    frames is 1 + floor(len / hop). Each frame is windowed and transformed
-    with the same DFT convention as fft_real.
+    frames is 1 + floor(len / hop). Each windowed frame w*x gives bins
+    0..n_fft/2 of |X[k]|, X[k] = sum_t w[t] x[t] e^(-2i pi k t / n_fft); the
+    test suite pins single frames against a direct O(n^2) DFT. Use
+    Spectrogram.to_power() for |X[k]|^2.
     """
-    if kind not in ("magnitude", "power"):
-        raise ValueError(f"kind must be 'magnitude' or 'power', got {kind!r}")
     x = buf.samples
     if len(x) == 0:
         raise ValueError("cannot analyze an empty buffer")
@@ -94,9 +81,7 @@ def stft(buf: AudioBuffer, params: StftParams, kind: str = "magnitude") -> Spect
     padded = np.pad(x, n_fft // 2, mode="reflect") if len(x) > 1 else np.pad(x, n_fft // 2)
     frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][:n_frames]
     spec = np.abs(np.fft.rfft(frames * make_window(params.window, n_fft), axis=1)).T
-    if kind == "power":
-        spec = spec**2
-    return Spectrogram(spec, params, buf.sample_rate_hz, kind)
+    return Spectrogram(spec, params, buf.sample_rate_hz, "magnitude")
 
 
 def hz_to_mel(f):
@@ -108,39 +93,19 @@ def mel_to_hz(m):
     return MEL_BREAK_FREQUENCY_HZ * (10.0 ** (np.asarray(m, dtype=np.float64) / MEL_HIGH_FREQUENCY_Q) - 1.0)
 
 
-def mel_filterbank(
-    sample_rate_hz: int,
-    n_fft: int,
-    n_mels: int = 128,
-    fmin_hz: float = 0.0,
-    fmax_hz: float | None = None,
-    normalization: str = "peak",
-) -> np.ndarray:
+def mel_filterbank(sample_rate_hz: int, n_fft: int, n_mels: int = 128) -> np.ndarray:
     """n_mels x (n_fft/2 + 1) weights of triangular filters equally spaced on the mel scale.
 
-    Filters are peak-normalized (height 1) by default; "area" rescales each
-    triangle by 2 / bandwidth (Slaney style).
+    Filters are peak-normalized (height 1) and span 0 Hz to Nyquist.
     """
-    if fmax_hz is None:
-        fmax_hz = sample_rate_hz / 2.0
-    if fmax_hz > sample_rate_hz / 2.0:
-        raise ValueError(f"fmax {fmax_hz} Hz exceeds Nyquist {sample_rate_hz / 2.0} Hz")
-    if not 0 <= fmin_hz < fmax_hz:
-        raise ValueError(f"need 0 <= fmin < fmax, got fmin={fmin_hz}, fmax={fmax_hz}")
-    if normalization not in ("peak", "area"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-
-    corners = mel_to_hz(np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2))
+    corners = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate_hz / 2.0), n_mels + 2))
     freqs = np.arange(n_fft // 2 + 1) * sample_rate_hz / n_fft
     lower = corners[:-2][:, None]
     center = corners[1:-1][:, None]
     upper = corners[2:][:, None]
     rising = (freqs[None, :] - lower) / (center - lower)
     falling = (upper - freqs[None, :]) / (upper - center)
-    weights = np.maximum(0.0, np.minimum(rising, falling))
-    if normalization == "area":
-        weights *= 2.0 / (upper - lower)
-    return weights
+    return np.maximum(0.0, np.minimum(rising, falling))
 
 
 def apply_filterbank(spec: Spectrogram, weights: np.ndarray) -> np.ndarray:

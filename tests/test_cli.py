@@ -122,6 +122,14 @@ class TestExtractCommand:
         assert ds.matrix.shape == (1, 43)
         assert np.all(np.isfinite(ds.matrix))
 
+    def test_header_only_manifest_takes_columns_from_n_mfcc(self, tmp_path):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,game,genre,title\n")
+        out = tmp_path / "o"
+        assert cli.main(["extract", "--manifest", str(manifest), "--out", str(out), "--n-mfcc", "20"]) == 0
+        assert (out / "features.csv").read_text() == ",".join(["track_id"] + feature_names(20) + ["genre"]) + "\n"
+        assert json.loads((out / "features.json").read_text()) == []
+
     def test_jobs_do_not_change_output(self, small_corpus, tmp_path):
         outs = []
         for jobs in ("1", "3"):
@@ -193,16 +201,15 @@ class TestClassifyCommand:
         assert (out / "report.json").is_file()
 
     def test_separable_features_classify_perfectly(self, tmp_path):
-        from vgmfeat.dataset import GenreLabel, TrackFeatures, write_feature_table_csv
+        from vgmfeat.dataset import LabeledDataset, write_feature_table_csv
 
         rng = np.random.default_rng(55)
         centers = rng.standard_normal((3, 43)) * 10.0
-        rows = []
-        for i in range(18):
-            vec = centers[i % 3] + rng.standard_normal(43) * 0.05
-            rows.append((f"t{i}", TrackFeatures.from_vector(vec), GenreLabel(i % 3)))
+        labels = np.arange(18) % 3
+        matrix = centers[labels] + rng.standard_normal((18, 43)) * 0.05
+        ds = LabeledDataset(matrix, labels, [f"t{i}" for i in range(18)], feature_names())
         csv_path = tmp_path / "features.csv"
-        csv_path.write_text(write_feature_table_csv(rows))
+        csv_path.write_text(write_feature_table_csv(ds))
         out = tmp_path / "cls"
         rc = cli.main(["classify", "--features-csv", str(csv_path), "--out", str(out), "--seed", "1"])
         assert rc == 0
@@ -283,6 +290,13 @@ class TestGoldenOutput:
         assert cli.main(["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(out)]) == 0
         golden = Path(__file__).parent / "data" / "golden_features_seed7.csv"
         assert (out / "features.csv").read_bytes() == golden.read_bytes()
+
+    def test_summarize_matches_committed_genre_summary(self, small_corpus, tmp_path):
+        # 3 tracks per genre, so the std columns are pinned too, not only zeros.
+        out = tmp_path / "out"
+        assert cli.main(["summarize", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "data" / "golden_genre_summary_seed11.csv"
+        assert (out / "genre_summary.csv").read_bytes() == golden.read_bytes()
 
 
 def run_child(args, openblas_threads):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, encode_wav
 from vgmfeat.dataset import (
     GenreLabel,
+    LabeledDataset,
     TrackFeatures,
     TrackRecord,
     analyze_clip,
@@ -29,6 +30,13 @@ GENRES = ("adventure_rpg", "action_rpg", "strategy_rpg")
 
 def manifest_text(rows):
     return "path,game,genre,title\n" + "\n".join(",".join(r) for r in rows) + "\n"
+
+
+def table(matrix, labels):
+    """A LabeledDataset over the 43 default columns, tracks named t0, t1, ..."""
+    matrix = np.asarray(matrix, dtype=np.float64).reshape(len(labels), 43)
+    return LabeledDataset(matrix, np.array([int(g) for g in labels], dtype=int),
+                          [f"t{i}" for i in range(len(labels))], feature_names())
 
 
 class TestGenreLabel:
@@ -78,29 +86,32 @@ class TestLoadManifest:
             load_manifest("")
 
 
+def random_features(n_mfcc, seed):
+    rng = np.random.default_rng(seed)
+    return TrackFeatures(*rng.standard_normal(5), rng.standard_normal(12),
+                         rng.standard_normal(n_mfcc), rng.standard_normal(n_mfcc))
+
+
+def check_vector_names_fields(feats, n_mfcc):
+    """as_vector's entries, looked up by feature_names(n_mfcc), give back every field."""
+    by_name = dict(zip(feature_names(n_mfcc), feats.as_vector(), strict=True))
+    for name in ("tempo_bpm", "zcr_mean", "zcr_std", "centroid_mean_hz", "centroid_std_hz"):
+        assert by_name[name] == getattr(feats, name)
+    for i, pc in enumerate(("c", "cs", "d", "ds", "e", "f", "fs", "g", "gs", "a", "as", "b")):
+        assert by_name[f"chroma_mean_{pc}"] == feats.chroma_mean[i]
+    for i in range(n_mfcc):
+        assert by_name[f"mfcc_mean_{i}"] == feats.mfcc_mean[i]
+        assert by_name[f"mfcc_range_{i}"] == feats.mfcc_range[i]
+
+
 class TestTrackFeatures:
     def test_vector_round_trip(self):
-        rng = np.random.default_rng(20)
-        vec = rng.standard_normal(43)
-        feats = TrackFeatures.from_vector(vec)
-        np.testing.assert_array_equal(feats.as_vector(), vec)
+        check_vector_names_fields(random_features(13, 20), 13)
         assert len(feature_names()) == 43
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            TrackFeatures.from_vector(np.zeros(10))
 
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_round_trip_any_n_mfcc(self, n_mfcc, seed):
-        vec = np.random.default_rng(seed).standard_normal(17 + 2 * n_mfcc)
-        feats = TrackFeatures.from_vector(vec)
-        assert len(feats.mfcc_mean) == len(feats.mfcc_range) == n_mfcc
-        np.testing.assert_array_equal(feats.as_vector(), vec)
-
-    @given(st.integers(0, 100).filter(lambda n: n < 19 or (n - 17) % 2))
-    def test_invalid_lengths_rejected(self, length):
-        with pytest.raises(ValueError):
-            TrackFeatures.from_vector(np.zeros(length))
+        check_vector_names_fields(random_features(n_mfcc, seed), n_mfcc)
 
 
 class TestExtractTrack:
@@ -151,21 +162,20 @@ class TestExtractTrack:
 
 class TestSummarizeByGenre:
     def test_single_track_per_genre(self):
-        rng = np.random.default_rng(23)
-        pairs = [(TrackFeatures.from_vector(rng.standard_normal(43)), g) for g in GenreLabel]
-        summary = summarize_by_genre(pairs)
+        vectors = np.random.default_rng(23).standard_normal((3, 43))
+        summary = summarize_by_genre(table(vectors, list(GenreLabel)))
         assert [g for g in summary.genres] == list(GenreLabel)
-        for i, (feats, _) in enumerate(pairs):
-            np.testing.assert_array_equal(summary.mean[i], feats.as_vector())
-            np.testing.assert_array_equal(summary.minimum[i], feats.as_vector())
-            np.testing.assert_array_equal(summary.maximum[i], feats.as_vector())
+        assert summary.feature_names == feature_names()
+        for i, vec in enumerate(vectors):
+            np.testing.assert_array_equal(summary.mean[i], vec)
+            np.testing.assert_array_equal(summary.minimum[i], vec)
+            np.testing.assert_array_equal(summary.maximum[i], vec)
             np.testing.assert_array_equal(summary.std[i], 0.0)
         np.testing.assert_array_equal(summary.range_width, 0.0)
 
     def test_identical_tracks_have_zero_std(self):
         vec = np.arange(43, dtype=np.float64)
-        pairs = [(TrackFeatures.from_vector(vec), GenreLabel.ACTION_RPG)] * 2
-        summary = summarize_by_genre(pairs)
+        summary = summarize_by_genre(table([vec, vec], [GenreLabel.ACTION_RPG] * 2))
         np.testing.assert_array_equal(summary.std, 0.0)
         assert summary.track_counts.tolist() == [2]
 
@@ -173,8 +183,7 @@ class TestSummarizeByGenre:
         rng = np.random.default_rng(24)
         vectors = rng.standard_normal((27, 43))
         labels = [GenreLabel(i % 3) for i in range(27)]
-        pairs = [(TrackFeatures.from_vector(v), g) for v, g in zip(vectors, labels)]
-        summary = summarize_by_genre(pairs)
+        summary = summarize_by_genre(table(vectors, labels))
         for gi, genre in enumerate(GenreLabel):
             block = np.array([v for v, g in zip(vectors, labels) if g == genre])
             for j in range(43):
@@ -191,10 +200,9 @@ class TestSummarizeByGenre:
         rng = np.random.default_rng(25)
         vectors = rng.standard_normal((12, 43))
         labels = [GenreLabel(i % 3) for i in range(12)]
-        pairs = [(TrackFeatures.from_vector(v), g) for v, g in zip(vectors, labels)]
-        a = summarize_by_genre(pairs)
+        a = summarize_by_genre(table(vectors, labels))
         order = rng.permutation(12)
-        b = summarize_by_genre([pairs[i] for i in order])
+        b = summarize_by_genre(table(vectors[order], [labels[i] for i in order]))
         np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(a.std, b.std, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(a.minimum, b.minimum)
@@ -202,46 +210,46 @@ class TestSummarizeByGenre:
 
     def test_invariants(self):
         rng = np.random.default_rng(26)
-        pairs = [
-            (TrackFeatures.from_vector(rng.standard_normal(43)), GenreLabel(int(rng.integers(3))))
-            for _ in range(20)
-        ]
-        summary = summarize_by_genre(pairs)
+        vectors, labels = [], []
+        for _ in range(20):
+            vectors.append(rng.standard_normal(43))
+            labels.append(GenreLabel(int(rng.integers(3))))
+        summary = summarize_by_genre(table(vectors, labels))
         assert np.all(summary.minimum <= summary.mean + 1e-12)
         assert np.all(summary.mean <= summary.maximum + 1e-12)
         assert summary.track_counts.sum() == 20
 
+    def test_columns_follow_the_table(self):
+        rng = np.random.default_rng(29)
+        ds = LabeledDataset(rng.standard_normal((4, 57)), np.array([0, 0, 2, 2]),
+                            ["a", "b", "c", "d"], feature_names(20))
+        summary = summarize_by_genre(ds)
+        assert summary.feature_names == feature_names(20)
+        assert summary.mean.shape == (2, 57)
+        assert write_genre_summary_csv(summary).splitlines()[0].count(",") == 1 + 5 * 57
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize_by_genre([])
+            summarize_by_genre(table(np.zeros((0, 43)), []))
 
 
 class TestSerialization:
-    def rows(self, n=6):
+    def dataset(self, n=6):
         rng = np.random.default_rng(27)
-        return [
-            (
-                f"track_{i}.wav",
-                TrackFeatures.from_vector(rng.standard_normal(43) * 100),
-                GenreLabel(i % 3),
-            )
-            for i in range(n)
-        ]
+        return table(rng.standard_normal((n, 43)) * 100, [GenreLabel(i % 3) for i in range(n)])
 
     def test_csv_round_trip_is_byte_identical(self):
-        rows = self.rows()
-        text = write_feature_table_csv(rows)
-        ds = read_feature_table_csv(text)
-        rebuilt = write_feature_table_csv(
-            [
-                (tid, TrackFeatures.from_vector(ds.matrix[i]), GenreLabel(int(ds.labels[i])))
-                for i, tid in enumerate(ds.track_ids)
-            ]
-        )
-        assert rebuilt == text
+        ds = self.dataset()
+        text = write_feature_table_csv(ds)
+        back = read_feature_table_csv(text)
+        assert back.track_ids == ds.track_ids
+        assert back.feature_names == ds.feature_names
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        np.testing.assert_allclose(back.matrix, ds.matrix, rtol=1e-8)
+        assert write_feature_table_csv(back) == text
 
     def test_csv_header_and_labels(self):
-        text = write_feature_table_csv(self.rows())
+        text = write_feature_table_csv(self.dataset())
         header = text.splitlines()[0].split(",")
         assert header[0] == "track_id"
         assert header[-1] == "genre"
@@ -250,18 +258,35 @@ class TestSerialization:
         assert ds.matrix.shape == (6, 43)
         assert ds.labels.tolist() == [0, 1, 2, 0, 1, 2]
 
+    def test_empty_table_round_trips_its_columns(self):
+        empty = LabeledDataset(np.zeros((0, 57)), np.zeros(0, dtype=int), [], feature_names(20))
+        text = write_feature_table_csv(empty)
+        assert text == ",".join(["track_id"] + feature_names(20) + ["genre"]) + "\n"
+        back = read_feature_table_csv(text)
+        assert back.matrix.shape == (0, 57)
+        assert back.feature_names == feature_names(20)
+        assert feature_table_json(empty) == "[]\n"
+
+    def test_json_values_equal_csv_values(self):
+        import json
+
+        ds = self.dataset()
+        from_csv = read_feature_table_csv(write_feature_table_csv(ds))
+        entries = json.loads(feature_table_json(ds))
+        assert [e["track_id"] for e in entries] == from_csv.track_ids
+        matrix = np.array([[e[name] for name in ds.feature_names] for e in entries])
+        np.testing.assert_array_equal(matrix, from_csv.matrix)
+
     def test_json_mirrors_schema(self):
         import json
 
-        rows = self.rows(3)
-        entries = json.loads(feature_table_json(rows))
+        entries = json.loads(feature_table_json(self.dataset(3)))
         assert len(entries) == 3
         assert list(entries[0].keys()) == ["track_id"] + feature_names() + ["genre"]
         assert entries[1]["genre"] == "action_rpg"
 
     def test_summary_csv_shape(self):
-        rows = self.rows(9)
-        summary = summarize_by_genre([(f, g) for _, f, g in rows])
+        summary = summarize_by_genre(self.dataset(9))
         text = write_genre_summary_csv(summary)
         lines = text.splitlines()
         assert len(lines) == 4  # header + one row per genre
@@ -283,8 +308,7 @@ class TestSerialization:
 
 class TestSelectFeatures:
     def test_family_selection(self):
-        rows = self.make_rows()
-        ds = read_feature_table_csv(write_feature_table_csv(rows))
+        ds = read_feature_table_csv(write_feature_table_csv(self.make_dataset()))
         subset = select_features(ds, ["tempo", "chroma"])
         assert subset.matrix.shape == (4, 13)
         assert subset.feature_names[0] == "tempo_bpm"
@@ -293,16 +317,13 @@ class TestSelectFeatures:
         assert mfcc_only.matrix.shape == (4, 26)
 
     def test_unknown_family_rejected(self):
-        ds = read_feature_table_csv(write_feature_table_csv(self.make_rows()))
+        ds = read_feature_table_csv(write_feature_table_csv(self.make_dataset()))
         with pytest.raises(ValueError):
             select_features(ds, ["spectral_flatness"])
 
-    def make_rows(self):
+    def make_dataset(self):
         rng = np.random.default_rng(28)
-        return [
-            (f"t{i}", TrackFeatures.from_vector(rng.standard_normal(43)), GenreLabel(i % 3))
-            for i in range(4)
-        ]
+        return table(rng.standard_normal((4, 43)), [GenreLabel(i % 3) for i in range(4)])
 
 
 class TestEndToEndCorpus:

@@ -104,17 +104,17 @@ class TestSpectralCentroid:
 
     def test_requires_magnitude_kind(self):
         with pytest.raises(ValueError):
-            spectral_centroid(stft(AudioBuffer(np.zeros(4096), 48000), StftParams(), kind="power"))
+            spectral_centroid(stft(AudioBuffer(np.zeros(4096), 48000), StftParams()).to_power())
 
 
 class TestChroma:
     def test_a4_maps_to_class_a(self):
-        series = chroma(stft(tone_buffer(440.0), StftParams(), kind="power"))
+        series = chroma(stft(tone_buffer(440.0), StftParams()).to_power())
         assert PITCH_CLASSES[series.values.mean(axis=1).argmax()] == "a"
 
     def test_octave_equivalence(self):
-        lo = chroma(stft(tone_buffer(440.0), StftParams(), kind="power"))
-        hi = chroma(stft(tone_buffer(880.0), StftParams(), kind="power"))
+        lo = chroma(stft(tone_buffer(440.0), StftParams()).to_power())
+        hi = chroma(stft(tone_buffer(880.0), StftParams()).to_power())
         assert lo.values.mean(axis=1).argmax() == hi.values.mean(axis=1).argmax() == 9
 
     def test_c_major_triad_top_three(self):
@@ -123,7 +123,7 @@ class TestChroma:
             + sine(329.63, 1.0, 48000, 0.3)
             + sine(392.00, 1.0, 48000, 0.3)
         )
-        spec = stft(AudioBuffer(x, 48000), StftParams(), kind="power")
+        spec = stft(AudioBuffer(x, 48000), StftParams()).to_power()
         series = chroma(spec)
         top3 = {PITCH_CLASSES[i] for i in np.argsort(series.values.mean(axis=1))[-3:]}
         assert top3 == {"c", "e", "g"}
@@ -135,17 +135,17 @@ class TestChroma:
 
     def test_columns_normalized_to_unit_max(self):
         x = np.random.default_rng(10).standard_normal(20000) * 0.1
-        series = chroma(stft(AudioBuffer(x, 48000), StftParams(), kind="power"))
+        series = chroma(stft(AudioBuffer(x, 48000), StftParams()).to_power())
         assert np.all(series.values >= 0) and np.all(series.values <= 1 + 1e-12)
         np.testing.assert_allclose(series.values.max(axis=0), 1.0)
 
     def test_all_zero_frames_stay_zero(self):
-        series = chroma(stft(AudioBuffer(np.zeros(4096), 48000), StftParams(), kind="power"))
+        series = chroma(stft(AudioBuffer(np.zeros(4096), 48000), StftParams()).to_power())
         np.testing.assert_array_equal(series.values, 0.0)
 
     def test_requires_power_kind(self):
         with pytest.raises(ValueError):
-            chroma(stft(tone_buffer(440.0), StftParams(), kind="magnitude"))
+            chroma(stft(tone_buffer(440.0), StftParams()))
 
 
 class TestMfcc:
@@ -167,7 +167,7 @@ class TestMfcc:
         fb = mel_filterbank(48000, 2048)
 
         def coeffs(gain):
-            mel = apply_filterbank(stft(AudioBuffer(x * gain, 48000), StftParams(), kind="power"), fb)
+            mel = apply_filterbank(stft(AudioBuffer(x * gain, 48000), StftParams()).to_power(), fb)
             return mfcc(mel, 13).values
 
         base, loud = coeffs(1.0), coeffs(3.7)
