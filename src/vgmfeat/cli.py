@@ -37,7 +37,7 @@ from .dataset import (
     write_manifest,
 )
 from .errors import VgmfeatError
-from .spectral import StftParams
+from .spectral import StftParams, mel_filterbank
 from . import synth
 
 OUT_DIR_ENV = "VGMFEAT_OUT"
@@ -101,9 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-fft", type=int, default=StftParams.n_fft, help="FFT frame length (default %(default)s)")
         p.add_argument("--hop", type=int, default=StftParams.hop, help="hop length (default %(default)s)")
         p.add_argument("--window", default=StftParams.window, help="analysis window: hann, hamming, rectangular")
-        p.add_argument("--n-mfcc", type=int, default=AnalysisSpec.n_mfcc,
+        p.add_argument("--n-mfcc", type=_positive_int, default=AnalysisSpec.n_mfcc,
                        help="cepstral coefficients kept (default %(default)s)")
-        p.add_argument("--n-mels", type=int, default=AnalysisSpec.n_mels, help="mel bands (default %(default)s)")
+        p.add_argument("--n-mels", type=_positive_int, default=AnalysisSpec.n_mels,
+                       help="mel bands (default %(default)s)")
 
     def add_knn(p):
         p.add_argument("--k", type=_positive_int, default=_default_of(evaluate_split, "k"),
@@ -193,11 +194,19 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
     if command == "classify" and args.features_csv:
         table = Path(args.features_csv).read_text()
     else:
-        # Only the commands that write series keep them: holding every track's series
-        # raised peak RSS by 20 MB on nine 240 s tracks.
+        # Only the commands that write series keep them, and as rendered CSV text: each
+        # worker thread renders its track's series, so the arrays die in the worker, and
+        # the main thread writes every file only once all tracks have succeeded.
         with_series = command in ("summarize", "report")
         records, base = _load_records(args.manifest)
-        results = _map_tracks(records, lambda rec: extract_track(rec, pre, spec, base, with_series), args.jobs)
+
+        def analyze(rec):
+            if not with_series:
+                return extract_track(rec, pre, spec, base)
+            feats, series = extract_track(rec, pre, spec, base, return_series=True)
+            return feats, {kind: frame_series_csv(fs) for kind, fs in series.items()}
+
+        results = _map_tracks(records, analyze, args.jobs)
         feats = [r[0] for r in results] if with_series else results
         names = feature_names(spec.n_mfcc)
         ds = LabeledDataset(
@@ -214,8 +223,8 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
             _write(out_dir, "genre_summary.csv", write_genre_summary_csv(summarize_by_genre(ds)), produced)
             for i, (rec, (_, series)) in enumerate(zip(records, results)):
                 stem = f"{i:03d}_{Path(rec.path).stem}"
-                for kind, fs in series.items():
-                    _write(out_dir, f"series/{stem}_{kind}.csv", frame_series_csv(fs), produced)
+                for kind, text in series.items():
+                    _write(out_dir, f"series/{stem}_{kind}.csv", text, produced)
 
     if command in ("classify", "report"):
         # Parse the rendered table: classifying from memory must equal classifying from features.csv.
@@ -256,6 +265,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if spec is not None:
+        # A mel band narrower than an FFT bin gets no weight and reaches the MFCC as a constant.
+        empty = int((~mel_filterbank(pre.target_sample_rate_hz, spec.stft.n_fft, spec.n_mels).any(axis=1)).sum())
+        if empty:
+            print(f"error: --n-mels {spec.n_mels} leaves {empty} mel bands empty at --n-fft {spec.stft.n_fft} "
+                  f"and {pre.target_sample_rate_hz} Hz; lower --n-mels or raise --n-fft", file=sys.stderr)
+            return EXIT_USAGE
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,7 @@ Everything here is deliberately naive (direct sums, Python loops) and
 shares no code with the library paths it checks.
 """
 
+import io
 import math
 
 import numpy as np
@@ -182,3 +183,20 @@ def padded_gemm_resample(samples, source_rate, target_rate, taps, kaiser_beta, n
             chunk = np.ascontiguousarray(windows[: rows * down : down])
             table[p0 : p0 + rows, ja:jb] = chunk @ kernel
     return table.ravel()[:n_out]
+
+
+def savetxt_series_csv(series):
+    """A FrameSeries as plot-ready CSV, rendered by np.savetxt: frame index, then one column per row."""
+    pitch_classes = ("c", "cs", "d", "ds", "e", "f", "fs", "g", "gs", "a", "as", "b")
+    d = series.values.shape[0]
+    if series.feature_kind == "chroma" and d == 12:
+        cols = [f"chroma_{pc}" for pc in pitch_classes]
+    elif d == 1:
+        cols = [series.feature_kind]
+    else:
+        cols = [f"{series.feature_kind}_{i}" for i in range(d)]
+    out = io.StringIO()
+    table = np.column_stack([np.arange(series.n_frames), series.values.T])
+    np.savetxt(out, table, fmt=["%d"] + ["%.9g"] * d, delimiter=",",
+               header=",".join(["frame"] + cols), comments="")
+    return out.getvalue()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -135,10 +136,11 @@ class TestExtractCommand:
         for jobs in ("1", "3"):
             out = tmp_path / f"j{jobs}"
             assert cli.main(
-                ["extract", "--manifest", str(small_corpus / "manifest.csv"),
+                ["report", "--manifest", str(small_corpus / "manifest.csv"),
                  "--out", str(out), "--jobs", jobs]
             ) == 0
-            outs.append((out / "features.csv").read_bytes())
+            outs.append({name: (out / name).read_bytes() for name in declared_files(out)})
+        assert len(outs[0]) == 5 + 9 * 5  # the feature, summary and report files plus 5 series per track
         assert outs[0] == outs[1]
 
 
@@ -271,7 +273,7 @@ class TestReportCommand:
         out = tmp_path / "rep"
         rc = cli.main(
             ["report", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
-             "--n-mfcc", "20", "--n-mels", "64", "--window", "hamming", "--hop", "256"]
+             "--n-mfcc", "20", "--n-fft", "1024", "--n-mels", "64", "--window", "hamming", "--hop", "256"]
         )
         assert rc == 0
         header = (out / "features.csv").read_text().splitlines()[0].split(",")
@@ -280,16 +282,33 @@ class TestReportCommand:
         assert read_feature_table_csv((out / "features.csv").read_text()).matrix.shape == (9, 57)
 
 
+@pytest.fixture(scope="module")
+def golden_corpus(tmp_path_factory):
+    """3 tracks of 20 s (one per genre), seed 7: the corpus the seed-7 golden files come from."""
+    d = tmp_path_factory.mktemp("golden_corpus")
+    assert cli.main(["synth-corpus", "--out", str(d), "--seed", "7", "--games-per-genre", "1",
+                     "--tracks-per-game", "1", "--duration", "20"]) == 0
+    return d
+
+
 class TestGoldenOutput:
-    def test_extract_matches_committed_features_csv(self, tmp_path):
+    def test_extract_matches_committed_features_csv(self, golden_corpus, tmp_path):
         # Pins the determinism contract: any change to an output byte fails
         # here and has to regenerate the golden file on purpose.
-        corpus, out = tmp_path / "corpus", tmp_path / "out"
-        assert cli.main(["synth-corpus", "--out", str(corpus), "--seed", "7", "--games-per-genre", "1",
-                         "--tracks-per-game", "1", "--duration", "20"]) == 0
-        assert cli.main(["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(out)]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["extract", "--manifest", str(golden_corpus / "manifest.csv"), "--out", str(out)]) == 0
         golden = Path(__file__).parent / "data" / "golden_features_seed7.csv"
         assert (out / "features.csv").read_bytes() == golden.read_bytes()
+
+    def test_summarize_matches_committed_series(self, golden_corpus, tmp_path):
+        # The digests are in `sha256sum` format, one line per series file.
+        out = tmp_path / "out"
+        assert cli.main(["summarize", "--manifest", str(golden_corpus / "manifest.csv"), "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "data" / "golden_series_seed7.sha256"
+        expected = dict(reversed(line.split("  ")) for line in golden.read_text().splitlines())
+        series = [name for name in declared_files(out) if name.startswith("series/")]
+        assert len(expected) == 15
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in series} == expected
 
     def test_summarize_matches_committed_genre_summary(self, small_corpus, tmp_path):
         # 3 tracks per genre, so the std columns are pinned too, not only zeros.
@@ -299,10 +318,12 @@ class TestGoldenOutput:
         assert (out / "genre_summary.csv").read_bytes() == golden.read_bytes()
 
 
-def run_child(args, openblas_threads):
-    """Run a fresh interpreter on this checkout's package with OPENBLAS_NUM_THREADS set."""
+def run_child(args, openblas_threads=None):
+    """Run a fresh interpreter on this checkout's package, with OPENBLAS_NUM_THREADS set when given."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(openblas_threads))
+    env = dict(os.environ)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
@@ -346,6 +367,8 @@ class TestUsageErrors:
             pytest.param("--n-fft", "1000", "power of two", id="n-fft"),
             pytest.param("--k", "0", "--k", id="k"),
             pytest.param("--jobs", "0", "--jobs", id="jobs"),
+            pytest.param("--n-mels", "-3", "--n-mels", id="n-mels"),
+            pytest.param("--n-mfcc", "0", "--n-mfcc", id="n-mfcc"),
             pytest.param("--test-fraction", "1.5", "--test-fraction", id="test-fraction"),
             pytest.param("--peak-dbfs", "2", "<= 0", id="peak-dbfs"),
         ],
@@ -354,6 +377,16 @@ class TestUsageErrors:
         rc = cli.main(["report", "--manifest", "m.csv", "--out", str(tmp_path), flag, value])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_fft, empty", [("512", 11), ("1024", 1)])
+    def test_empty_mel_bands_rejected_before_extraction(self, small_corpus, tmp_path, capsys, n_fft, empty):
+        out = tmp_path / "out"
+        rc = cli.main(["report", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
+                       "--n-fft", n_fft])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--n-mels 128 leaves {empty} mel bands empty at --n-fft {n_fft}" in err
+        assert not (out / "features.csv").exists()
 
     @pytest.mark.parametrize("command", ["classify", "report"])
     def test_unknown_feature_family_before_extraction(self, small_corpus, tmp_path, capsys, command):
@@ -388,14 +421,12 @@ class TestUsageErrors:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vgmfeat", "--help"], capture_output=True, text=True
-        )
-        assert proc.returncode == 0
+        proc = run_child(["-m", "vgmfeat", "--help"])
+        assert proc.returncode == 0, proc.stderr
         assert "vgmfeat" in proc.stdout
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vgmfeat", "extract"], capture_output=True, text=True
-        )
+        proc = run_child(["-m", "vgmfeat", "extract"])
         assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: vgmfeat extract")
+        assert "the following arguments are required: --manifest" in proc.stderr

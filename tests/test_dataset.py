@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, encode_wav
 from vgmfeat.dataset import (
@@ -21,9 +21,11 @@ from vgmfeat.dataset import (
     write_genre_summary_csv,
 )
 from vgmfeat.errors import TrackError
+from vgmfeat.features import FrameSeries
 from vgmfeat.synth import make_click_track, write_corpus
 
 from conftest import sine
+from reference import savetxt_series_csv
 
 GENRES = ("adventure_rpg", "action_rpg", "strategy_rpg")
 
@@ -304,6 +306,39 @@ class TestSerialization:
         assert len(lines) == 1 + series["chroma"].n_frames
         zcr_csv = frame_series_csv(series["zcr"])
         assert zcr_csv.splitlines()[0] == "frame,zcr"
+
+    @pytest.mark.parametrize("kind, d", [("zcr", 1), ("chroma", 12), ("mfcc", 13), ("mfcc", 20)])
+    @pytest.mark.parametrize("n_frames", [0, 1, 37])
+    def test_frame_series_csv_matches_savetxt(self, kind, d, n_frames):
+        rng = np.random.default_rng(d * 100 + n_frames)
+        values = rng.standard_normal((d, n_frames)) * 10.0 ** rng.integers(-8, 8, size=(d, n_frames))
+        series = FrameSeries(values, kind)
+        assert frame_series_csv(series) == savetxt_series_csv(series)
+
+    EDGE_FLOATS = [-0.0, 5e-324, -2.2250738585072e-309, 1e300, -1e300, 1e-300, -1e-300,
+                   float("inf"), float("-inf"), float("nan")]
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.integers(1, 13), st.integers(0, 4), st.data())
+    def test_frame_series_csv_matches_savetxt_on_any_float(self, d, n_frames, data):
+        floats = st.one_of(st.sampled_from(self.EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+        cells = data.draw(st.lists(floats, min_size=d * n_frames, max_size=d * n_frames))
+        series = FrameSeries(np.array(cells, dtype=np.float64).reshape(d, n_frames), "chroma" if d == 12 else "x")
+        assert frame_series_csv(series) == savetxt_series_csv(series)
+
+    def test_read_names_row_and_column_of_unknown_genre(self):
+        lines = write_feature_table_csv(self.dataset(3)).splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",roguelike\n"
+        with pytest.raises(ValueError, match=r"feature table row 3, column genre: unknown genre 'roguelike'"):
+            read_feature_table_csv("".join(lines))
+
+    def test_read_names_row_and_column_of_bad_number(self):
+        lines = write_feature_table_csv(self.dataset(3)).splitlines(keepends=True)
+        cells = lines[3].split(",")
+        cells[2] = "abc"  # zcr_mean
+        lines[3] = ",".join(cells)
+        with pytest.raises(ValueError, match=r"feature table row 4, column zcr_mean: .*'abc'"):
+            read_feature_table_csv("".join(lines))
 
 
 class TestSelectFeatures:
