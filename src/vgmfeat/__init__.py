@@ -33,7 +33,6 @@ from .dataset import (
     GenreLabel,
     GenreSummary,
     LabeledDataset,
-    TrackFeatures,
     TrackRecord,
     analyze_clip,
     extract_track,

@@ -24,10 +24,6 @@ from .spectral import StftParams, apply_filterbank, mel_filterbank, stft
 
 MANIFEST_COLUMNS = ("path", "game", "genre", "title")
 
-# Feature vector layout: these scalars, the 12 chroma means, then n_mfcc
-# cepstral means and n_mfcc cepstral ranges.
-SCALAR_FEATURES = ("tempo_bpm", "zcr_mean", "zcr_std", "centroid_mean_hz", "centroid_std_hz")
-
 
 @dataclass(frozen=True)
 class AnalysisSpec:
@@ -36,6 +32,11 @@ class AnalysisSpec:
     stft: StftParams = StftParams()
     n_mfcc: int = 13
     n_mels: int = 128
+
+    def __post_init__(self):
+        # The MFCC keeps the first n_mfcc DCT coefficients of the n_mels log bands.
+        if self.n_mfcc > self.n_mels:
+            raise ValueError(f"n_mfcc must be <= n_mels ({self.n_mels}), got {self.n_mfcc}")
 
 
 class GenreLabel(enum.IntEnum):
@@ -65,30 +66,10 @@ class TrackRecord:
     title: str
 
 
-@dataclass
-class TrackFeatures:
-    """Aggregated per-track feature vector.
-
-    Scalar aggregates use the arithmetic mean and population standard
-    deviation over frames; mfcc_range is the per-coefficient max - min.
-    """
-
-    tempo_bpm: float
-    zcr_mean: float
-    zcr_std: float
-    centroid_mean_hz: float
-    centroid_std_hz: float
-    chroma_mean: np.ndarray  # 12
-    mfcc_mean: np.ndarray  # n_mfcc
-    mfcc_range: np.ndarray  # n_mfcc
-
-    def as_vector(self) -> np.ndarray:
-        scalars = [getattr(self, name) for name in SCALAR_FEATURES]
-        return np.concatenate([scalars, self.chroma_mean, self.mfcc_mean, self.mfcc_range])
-
-
 def feature_names(n_mfcc: int = AnalysisSpec.n_mfcc) -> list:
-    names = list(SCALAR_FEATURES)
+    """Columns of analyze_clip's feature row. Frame statistics are the mean,
+    the population std and, for mfcc_range, the per-coefficient max - min."""
+    names = ["tempo_bpm", "zcr_mean", "zcr_std", "centroid_mean_hz", "centroid_std_hz"]
     names += [f"chroma_mean_{pc}" for pc in PITCH_CLASSES]
     names += [f"mfcc_mean_{i}" for i in range(n_mfcc)]
     names += [f"mfcc_range_{i}" for i in range(n_mfcc)]
@@ -176,8 +157,9 @@ def load_manifest(text: str):
 def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     """Run every extractor on a preprocessed clip.
 
-    Returns (TrackFeatures, series) where series maps feature kind to the
-    per-frame FrameSeries behind each aggregate.
+    Returns (row, series): row is the float64 feature vector in
+    feature_names(spec.n_mfcc) order, and series maps feature kind to the
+    per-frame FrameSeries behind its aggregates.
     """
     mag = stft(buf, spec.stft)
     power = mag.to_power()
@@ -189,16 +171,12 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     ceps = mfcc(apply_filterbank(power, bank), spec.n_mfcc)
     tempo = tempo_from_spectrogram(mag)
 
-    feats = TrackFeatures(
-        tempo_bpm=tempo.bpm,
-        zcr_mean=float(zcr.values.mean()),
-        zcr_std=float(zcr.values.std()),
-        centroid_mean_hz=float(cent.values.mean()),
-        centroid_std_hz=float(cent.values.std()),
-        chroma_mean=chrom.values.mean(axis=1),
-        mfcc_mean=ceps.values.mean(axis=1),
-        mfcc_range=ceps.values.max(axis=1) - ceps.values.min(axis=1),
-    )
+    row = np.concatenate([
+        [tempo.bpm, zcr.values.mean(), zcr.values.std(), cent.values.mean(), cent.values.std()],
+        chrom.values.mean(axis=1),
+        ceps.values.mean(axis=1),
+        ceps.values.max(axis=1) - ceps.values.min(axis=1),
+    ])
     series = {
         "zcr": zcr,
         "centroid": cent,
@@ -206,7 +184,7 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
         "mfcc": ceps,
         "onset": FrameSeries(tempo.onset_envelope[None, :], "onset"),
     }
-    return feats, series
+    return row, series
 
 
 def track_path(rec: TrackRecord, base_dir: str | None = None) -> Path:
@@ -240,16 +218,12 @@ def extract_track(
     pre: PreprocessSpec = PreprocessSpec(),
     spec: AnalysisSpec = AnalysisSpec(),
     base_dir: str | None = None,
-    return_series: bool = False,
 ):
     """Decode, preprocess and featurize one manifest record (see process_track).
 
-    Returns TrackFeatures, or (TrackFeatures, series) with return_series.
+    Returns analyze_clip's (row, series).
     """
-    feats, series = process_track(
-        track_path(rec, base_dir), pre, "analyze", lambda clip: analyze_clip(clip, spec)
-    )
-    return (feats, series) if return_series else feats
+    return process_track(track_path(rec, base_dir), pre, "analyze", lambda clip: analyze_clip(clip, spec))
 
 
 def summarize_by_genre(ds: LabeledDataset) -> GenreSummary:

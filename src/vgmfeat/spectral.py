@@ -93,7 +93,7 @@ def mel_to_hz(m):
     return MEL_BREAK_FREQUENCY_HZ * (10.0 ** (np.asarray(m, dtype=np.float64) / MEL_HIGH_FREQUENCY_Q) - 1.0)
 
 
-def mel_filterbank(sample_rate_hz: int, n_fft: int, n_mels: int = 128) -> np.ndarray:
+def mel_filterbank(sample_rate_hz: int, n_fft: int, n_mels: int) -> np.ndarray:
     """n_mels x (n_fft/2 + 1) weights of triangular filters equally spaced on the mel scale.
 
     Filters are peak-normalized (height 1) and span 0 Hz to Nyquist.

@@ -317,6 +317,15 @@ class TestGoldenOutput:
         golden = Path(__file__).parent / "data" / "golden_genre_summary_seed11.csv"
         assert (out / "genre_summary.csv").read_bytes() == golden.read_bytes()
 
+    def test_loocv_report_matches_committed_report(self, small_corpus, tmp_path):
+        # 8 of 9 right with one MISS, so a change in neighbour order shows.
+        out = tmp_path / "out"
+        assert cli.main(["report", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
+                         "--protocol", "loocv"]) == 0
+        for suffix in ("json", "txt"):
+            golden = Path(__file__).parent / "data" / f"golden_report_loocv_seed11.{suffix}"
+            assert (out / f"report.{suffix}").read_bytes() == golden.read_bytes()
+
 
 def run_child(args, openblas_threads=None):
     """Run a fresh interpreter on this checkout's package, with OPENBLAS_NUM_THREADS set when given."""
@@ -386,6 +395,14 @@ class TestUsageErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"--n-mels 128 leaves {empty} mel bands empty at --n-fft {n_fft}" in err
+        assert not (out / "features.csv").exists()
+
+    def test_more_cepstra_than_mel_bands_rejected_before_extraction(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["extract", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
+                       "--n-mfcc", "200"])
+        assert rc == 1
+        assert "n_mfcc must be <= n_mels (128), got 200" in capsys.readouterr().err
         assert not (out / "features.csv").exists()
 
     @pytest.mark.parametrize("command", ["classify", "report"])

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, encode_wav
 from vgmfeat.dataset import (
+    AnalysisSpec,
     GenreLabel,
     LabeledDataset,
-    TrackFeatures,
     TrackRecord,
     analyze_clip,
     extract_track,
@@ -21,7 +21,8 @@ from vgmfeat.dataset import (
     write_genre_summary_csv,
 )
 from vgmfeat.errors import TrackError
-from vgmfeat.features import FrameSeries
+from vgmfeat.features import PITCH_CLASSES, FrameSeries, tempo_from_spectrogram
+from vgmfeat.spectral import stft
 from vgmfeat.synth import make_click_track, write_corpus
 
 from conftest import sine
@@ -39,6 +40,11 @@ def table(matrix, labels):
     matrix = np.asarray(matrix, dtype=np.float64).reshape(len(labels), 43)
     return LabeledDataset(matrix, np.array([int(g) for g in labels], dtype=int),
                           [f"t{i}" for i in range(len(labels))], feature_names())
+
+
+def by_name(row, n_mfcc=13):
+    """A feature row as a dict keyed by feature_names(n_mfcc)."""
+    return dict(zip(feature_names(n_mfcc), row, strict=True))
 
 
 class TestGenreLabel:
@@ -88,32 +94,33 @@ class TestLoadManifest:
             load_manifest("")
 
 
-def random_features(n_mfcc, seed):
-    rng = np.random.default_rng(seed)
-    return TrackFeatures(*rng.standard_normal(5), rng.standard_normal(12),
-                         rng.standard_normal(n_mfcc), rng.standard_normal(n_mfcc))
+class TestFeatureRow:
+    """analyze_clip's row holds, under each feature_names column, the statistic of that column's series."""
 
+    @pytest.fixture(scope="class")
+    def clip(self):
+        buf = make_click_track(120.0, 8.0, 48000, rng=np.random.default_rng(20))
+        return AudioBuffer(buf.samples + sine(330.0, 8.0, 48000, 0.3), 48000)
 
-def check_vector_names_fields(feats, n_mfcc):
-    """as_vector's entries, looked up by feature_names(n_mfcc), give back every field."""
-    by_name = dict(zip(feature_names(n_mfcc), feats.as_vector(), strict=True))
-    for name in ("tempo_bpm", "zcr_mean", "zcr_std", "centroid_mean_hz", "centroid_std_hz"):
-        assert by_name[name] == getattr(feats, name)
-    for i, pc in enumerate(("c", "cs", "d", "ds", "e", "f", "fs", "g", "gs", "a", "as", "b")):
-        assert by_name[f"chroma_mean_{pc}"] == feats.chroma_mean[i]
-    for i in range(n_mfcc):
-        assert by_name[f"mfcc_mean_{i}"] == feats.mfcc_mean[i]
-        assert by_name[f"mfcc_range_{i}"] == feats.mfcc_range[i]
-
-
-class TestTrackFeatures:
-    def test_vector_round_trip(self):
-        check_vector_names_fields(random_features(13, 20), 13)
-        assert len(feature_names()) == 43
-
-    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_round_trip_any_n_mfcc(self, n_mfcc, seed):
-        check_vector_names_fields(random_features(n_mfcc, seed), n_mfcc)
+    @pytest.mark.parametrize("n_mfcc", [1, 13, 20])
+    def test_columns_are_the_statistics_of_their_series(self, clip, n_mfcc):
+        spec = AnalysisSpec(n_mfcc=n_mfcc)
+        row, series = analyze_clip(clip, spec)
+        assert row.dtype == np.float64
+        feats = by_name(row, n_mfcc)
+        assert feats["tempo_bpm"] == tempo_from_spectrogram(stft(clip, spec.stft)).bpm
+        for kind, unit in (("zcr", ""), ("centroid", "_hz")):
+            values = series[kind].values
+            assert feats[f"{kind}_mean{unit}"] == values.mean()
+            assert feats[f"{kind}_std{unit}"] == values.std()
+        chroma_means = series["chroma"].values.mean(axis=1)
+        for i, pc in enumerate(PITCH_CLASSES):
+            assert feats[f"chroma_mean_{pc}"] == chroma_means[i]
+        ceps = series["mfcc"].values
+        assert ceps.shape[0] == n_mfcc
+        for i in range(n_mfcc):
+            assert feats[f"mfcc_mean_{i}"] == ceps[i].mean()
+            assert feats[f"mfcc_range_{i}"] == ceps[i].max() - ceps[i].min()
 
 
 class TestExtractTrack:
@@ -122,18 +129,18 @@ class TestExtractTrack:
         path = tmp_path / "clicks.wav"
         path.write_bytes(encode_wav(buf, "pcm16"))
         rec = TrackRecord(str(path), "g", GenreLabel.ACTION_RPG, "t")
-        feats = extract_track(rec)
-        assert 118.0 <= feats.tempo_bpm <= 122.0
-        assert len(feats.as_vector()) == 43
+        row, _ = extract_track(rec)
+        assert 118.0 <= by_name(row)["tempo_bpm"] <= 122.0
+        assert len(row) == 43
 
     def test_pure_tone_chroma_and_zcr(self, tmp_path):
         buf = AudioBuffer(sine(440.0, 16.0, 48000), 48000)
         path = tmp_path / "tone.wav"
         path.write_bytes(encode_wav(buf, "float32"))
         rec = TrackRecord("tone.wav", "g", GenreLabel.ADVENTURE_RPG, "t")
-        feats = extract_track(rec, base_dir=str(tmp_path))
-        assert feats.chroma_mean.argmax() == 9  # pitch class A
-        assert feats.zcr_std < 1e-3
+        feats = by_name(extract_track(rec, base_dir=str(tmp_path))[0])
+        assert max(PITCH_CLASSES, key=lambda pc: feats[f"chroma_mean_{pc}"]) == "a"
+        assert feats["zcr_std"] < 1e-3
 
     def test_silent_file_error_carries_path_and_stage(self, tmp_path):
         path = tmp_path / "silent.wav"
@@ -157,8 +164,8 @@ class TestExtractTrack:
         path = tmp_path / "mix.wav"
         path.write_bytes(encode_wav(buf, "pcm16"))
         rec = TrackRecord(str(path), "g", GenreLabel.STRATEGY_RPG, "t")
-        a = extract_track(rec).as_vector()
-        b = extract_track(rec).as_vector()
+        a, _ = extract_track(rec)
+        b, _ = extract_track(rec)
         np.testing.assert_array_equal(a, b)
 
 
@@ -368,7 +375,6 @@ class TestEndToEndCorpus:
         assert len(records) == 3
         spec = PreprocessSpec()
         for rec in records:
-            feats = extract_track(rec, spec, base_dir=str(tmp_path))
-            vec = feats.as_vector()
-            assert np.all(np.isfinite(vec))
-            assert 0.0 <= feats.zcr_mean <= 1.0
+            row, _ = extract_track(rec, spec, base_dir=str(tmp_path))
+            assert np.all(np.isfinite(row))
+            assert 0.0 <= by_name(row)["zcr_mean"] <= 1.0
