@@ -7,7 +7,12 @@ equals the same span of the fully normalized track bit for bit.
 """
 
 import math
+import os
+import queue
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +94,10 @@ class PreprocessSpec:
                 f"target_sample_rate_hz must be positive, got {self.target_sample_rate_hz}"
             )
 
+    @property
+    def clip_samples(self) -> int:
+        return _round_half_up(self.clip_duration_s * self.target_sample_rate_hz)
+
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -158,15 +167,14 @@ def decode_wav(data: bytes) -> AudioBuffer:
             f"fmt chunk declares block_align {block_align}, not {n_channels} channels x {bits} bits / 8"
         )
 
+    # One pass: each integer times a power-of-two scale is exact in float64.
     if bits == 16:
-        x = np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2").astype(np.float64)
-        x /= 32768.0
+        x = np.multiply(np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2"), 2.0**-15, dtype=np.float64)
     elif bits == 24:
         b = np.frombuffer(raw[: len(raw) - len(raw) % 3], dtype=np.uint8)
         b = b.reshape(-1, 3).astype(np.int32)
         # assemble into the top 3 bytes of an int32, arithmetic shift sign-extends
-        x = ((b[:, 0] << 8) | (b[:, 1] << 16) | (b[:, 2] << 24)) >> 8
-        x = x.astype(np.float64) / 8388608.0
+        x = np.multiply(((b[:, 0] << 8) | (b[:, 1] << 16) | (b[:, 2] << 24)) >> 8, 2.0**-23, dtype=np.float64)
     else:
         x = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(x)):
@@ -275,6 +283,69 @@ def _faded_span(x: np.ndarray, ramp: np.ndarray, lo: int, hi: int) -> np.ndarray
     return seg
 
 
+class BlockHelpers:
+    """Helper threads, one per core beyond the first, that share out resample's blocks.
+
+    The threads start on first use and are shared by the whole process. `idle`
+    counts the helpers nobody holds: a caller that runs its own threads (the
+    CLI's --jobs pool) holds as many helpers as it keeps cores busy.
+    """
+
+    def __init__(self, helpers: int):
+        self.helpers = helpers
+        self.idle = helpers
+        self._lock = threading.Lock()
+        # A ThreadPoolExecutor starts its threads on the first submit, not here.
+        self._pool = ThreadPoolExecutor(max(1, helpers), thread_name_prefix="vgmfeat-blocks")
+
+    @contextmanager
+    def hold(self, n: int):
+        """Take up to n idle helpers for the duration of the block; yields how many."""
+        with self._lock:
+            n = max(0, min(n, self.idle))
+            self.idle -= n
+        try:
+            yield n
+        finally:
+            with self._lock:
+                self.idle += n
+
+    def run_blocks(self, run, items: range):
+        """Call run(chunk) on the calling thread and on idle helpers; the chunks cover `items` once.
+
+        Each chunk is an iterable that hands out the next item not yet taken
+        by any thread, so a helper that starts late or runs slowly only leaves
+        more items to the caller, and a helper that never starts (a busy pool,
+        or a forked child whose pool threads are gone) leaves them all. The
+        call returns, or re-raises, once every started chunk has finished.
+        """
+        with self.hold(len(items) - 1) as n:
+            # Every thread's chunk ends at its own None, queued after the last item.
+            todo = queue.SimpleQueue()
+            for item in [*items, *[None] * (n + 1)]:
+                todo.put(item)
+            futures = [self._pool.submit(run, iter(todo.get, None)) for _ in range(n)]
+            try:
+                run(iter(todo.get, None))
+            finally:
+                # Only a started chunk can be waited for: a cancelled one is done
+                # only once a helper thread dequeues it, which may never happen.
+                started = [future for future in futures if not future.cancel()]
+                wait(started)
+            for future in started:
+                future.result()
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+block_helpers = BlockHelpers(_cores() - 1)
+
+
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Resample with a polyphase windowed-sinc filter.
 
@@ -284,7 +355,9 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     zero-padded and its first and last RESAMPLE_FADE_SAMPLES samples are
     tapered with a raised cosine. Each block of RESAMPLE_BLOCK_PERIODS output
     periods is one matrix product per branch group (see _branch_groups),
-    on a block grid that does not depend on the input length.
+    on a block grid that does not depend on the input length. Idle
+    block_helpers threads share the blocks out; each block writes only its
+    own output rows, so the bits do not depend on which thread computed it.
 
     Raises:
         ValueError: non-positive target rate or empty input.
@@ -314,17 +387,21 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     n_per = -(-n_out // cols)
     out = np.empty(n_per * cols)
     table = out.reshape(n_per, cols)
-    # At most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB), whatever the ratio.
-    tmp = np.empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
-    for p0 in range(0, n_per, RESAMPLE_BLOCK_PERIODS):
-        rows = min(RESAMPLE_BLOCK_PERIODS, n_per - p0)
-        lo = p0 * down - RESAMPLE_TAPS_PER_PHASE // 2
-        seg = _faded_span(x, ramp, lo, lo + (rows - 1) * down + width)
-        spans = np.lib.stride_tricks.sliding_window_view(seg, width)[::down]
-        for offset, ja, jb, kernel in groups:
-            block = tmp[: rows * len(kernel)].reshape(rows, len(kernel))
-            np.copyto(block, spans[:, offset : offset + len(kernel)])
-            np.matmul(block, kernel, out=table[p0 : p0 + rows, ja:jb])
+
+    def run(block_starts):
+        # One scratch buffer per thread: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB).
+        tmp = np.empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
+        for p0 in block_starts:
+            rows = min(RESAMPLE_BLOCK_PERIODS, n_per - p0)
+            lo = p0 * down - RESAMPLE_TAPS_PER_PHASE // 2
+            seg = _faded_span(x, ramp, lo, lo + (rows - 1) * down + width)
+            spans = np.lib.stride_tricks.sliding_window_view(seg, width)[::down]
+            for offset, ja, jb, kernel in groups:
+                block = tmp[: rows * len(kernel)].reshape(rows, len(kernel))
+                np.copyto(block, spans[:, offset : offset + len(kernel)])
+                np.matmul(block, kernel, out=table[p0 : p0 + rows, ja:jb])
+
+    block_helpers.run_blocks(run, range(0, n_per, RESAMPLE_BLOCK_PERIODS))
     return AudioBuffer(out[:n_out], int(target_rate))
 
 
@@ -382,7 +459,7 @@ def preprocess(buf: AudioBuffer, spec: PreprocessSpec) -> AudioBuffer:
     """
     out = resample(buf, spec.target_sample_rate_hz)
     gain = peak_gain(out.samples, spec.target_peak_dbfs)
-    n_clip = _round_half_up(spec.clip_duration_s * out.sample_rate_hz)
+    n_clip = spec.clip_samples
     if spec.pad_short and len(out.samples) < n_clip:
         left = (n_clip - len(out.samples)) // 2
         right = n_clip - len(out.samples) - left

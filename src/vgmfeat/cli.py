@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import PreprocessSpec, encode_wav
+from .audio_io import PreprocessSpec, block_helpers, encode_wav
 from .classify import evaluate_loocv, evaluate_split
 from .dataset import (
     FEATURE_FAMILIES,
@@ -37,6 +37,7 @@ from .dataset import (
     write_manifest,
 )
 from .errors import VgmfeatError
+from .features import min_clip_samples
 from .spectral import StftParams, mel_filterbank
 from . import synth
 
@@ -95,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sample-rate", type=int, default=PreprocessSpec.target_sample_rate_hz,
                        help="analysis sample rate (default %(default)s)")
         p.add_argument("--pad-short", action="store_true", help="zero-pad tracks shorter than the clip")
-        p.add_argument("--jobs", type=_positive_int, default=1, help="tracks processed concurrently (default %(default)s)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="tracks processed concurrently; cores left over split each track's resampling "
+                            "(default %(default)s)")
 
     def add_analysis(p):
         p.add_argument("--n-fft", type=int, default=StftParams.n_fft, help="FFT frame length (default %(default)s)")
@@ -157,8 +160,10 @@ def _load_records(manifest_path):
 
 
 def _map_tracks(records, worker, jobs):
+    jobs = min(jobs, len(records))
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # The workers keep `jobs` cores busy; the resampler may spread only onto cores left over.
+        with block_helpers.hold(jobs - 1), ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, records))
     return [worker(rec) for rec in records]
 
@@ -270,6 +275,12 @@ def main(argv=None) -> int:
         if empty:
             print(f"error: --n-mels {spec.n_mels} leaves {empty} mel bands empty at --n-fft {spec.stft.n_fft} "
                   f"and {pre.target_sample_rate_hz} Hz; lower --n-mels or raise --n-fft", file=sys.stderr)
+            return EXIT_USAGE
+        need = min_clip_samples(spec.stft, pre.target_sample_rate_hz)
+        if pre.clip_samples < need:
+            print(f"error: --clip-seconds {args.clip_seconds:g} gives {pre.clip_samples} samples at "
+                  f"{pre.target_sample_rate_hz} Hz; analysis at --n-fft {spec.stft.n_fft} and --hop "
+                  f"{spec.stft.hop} needs at least {need} ({need / pre.target_sample_rate_hz:g} s)", file=sys.stderr)
             return EXIT_USAGE
 
     out_dir = Path(args.out)

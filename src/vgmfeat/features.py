@@ -153,6 +153,23 @@ def tempo_bpm(
     return tempo_from_spectrogram(stft(buf, params), bpm_range)
 
 
+def _beat_lags(frame_rate_hz: float, bpm_range: tuple) -> tuple:
+    """Shortest and longest beat period in bpm_range, in whole onset-envelope frames."""
+    low, high = bpm_range
+    return max(1, math.ceil(60.0 * frame_rate_hz / high)), math.floor(60.0 * frame_rate_hz / low)
+
+
+def min_clip_samples(params: StftParams, sample_rate_hz: int, bpm_range: tuple = DEFAULT_TEMPO_RANGE_BPM) -> int:
+    """Fewest samples a clip needs for every extractor: one ZCR frame and one tempo lag.
+
+    n samples give n // hop + 1 STFT frames, so n // hop onset-envelope
+    values, whose autocorrelation lags up to n // hop - 1 must reach the
+    shortest beat lag.
+    """
+    lag_min, _ = _beat_lags(sample_rate_hz / params.hop, bpm_range)
+    return max(params.n_fft, (lag_min + 1) * params.hop)
+
+
 def tempo_from_spectrogram(spec: Spectrogram, bpm_range: tuple = DEFAULT_TEMPO_RANGE_BPM) -> TempoEstimate:
     """Tempo search on an existing magnitude spectrogram (see tempo_bpm)."""
     low, high = bpm_range
@@ -172,8 +189,8 @@ def tempo_from_spectrogram(spec: Spectrogram, bpm_range: tuple = DEFAULT_TEMPO_R
     ac = np.correlate(centered, centered, mode="full")[len(centered) - 1 :]
 
     frame_rate = spec.frame_rate_hz
-    lag_min = max(1, math.ceil(60.0 * frame_rate / high))
-    lag_max = min(len(ac) - 1, math.floor(60.0 * frame_rate / low))
+    lag_min, lag_max = _beat_lags(frame_rate, bpm_range)
+    lag_max = min(len(ac) - 1, lag_max)
     if lag_min > lag_max:
         raise ValueError("envelope too short for the requested tempo range")
     lag = lag_min + int(np.argmax(ac[lag_min : lag_max + 1]))

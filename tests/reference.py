@@ -98,6 +98,13 @@ def pitch_class_energy(power_matrix, freqs, fmin_hz=32.7, reference_hz=440.0):
     return out
 
 
+def pcm_to_float_two_pass(ints, bits):
+    """Integer PCM samples scaled to [-1, 1) in two passes: cast to float64, then divide by full scale."""
+    x = np.asarray(ints).astype(np.float64)
+    x /= {16: 32768.0, 24: 8388608.0}[bits]
+    return x
+
+
 def sinc_bank(up, down, taps, kaiser_beta):
     """Polyphase Kaiser-windowed sinc bank: row p holds the taps for fractional position p/up."""
     half = taps // 2

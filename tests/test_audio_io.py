@@ -1,4 +1,7 @@
 import struct
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -24,7 +27,13 @@ from vgmfeat.audio_io import (
 from vgmfeat.errors import SilentAudioError, TooShortError, UnsupportedWavError, VgmfeatError, WavDecodeError
 
 from conftest import sine
-from reference import naive_dft_magnitudes, padded_gemm_resample, sinc_bank, unblocked_resample
+from reference import (
+    naive_dft_magnitudes,
+    padded_gemm_resample,
+    pcm_to_float_two_pass,
+    sinc_bank,
+    unblocked_resample,
+)
 
 # 44.1 -> 48 kHz is one branch group, 44.1 -> 22.05 kHz has one branch (up = 1),
 # 32 -> 48 kHz has three, and 96 -> 44.1 kHz needs more than one group.
@@ -115,6 +124,16 @@ class TestDecodeWav:
         payload = bytes([0x00, 0x00, 0x40, 0x00, 0x00, 0xC0, 0x01, 0x00, 0x00])
         buf = decode_wav(wav_bytes(payload, 1, 1, 48000, 24))
         np.testing.assert_allclose(buf.samples, [0.5, -0.5, 1.0 / 8388608])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(bits=st.sampled_from([16, 24]), channels=st.sampled_from([1, 2]), data=st.data())
+    def test_integer_scaling_matches_two_pass(self, bits, channels, data):
+        full = 2 ** (bits - 1)
+        ints = data.draw(st.lists(st.integers(-full, full - 1), min_size=channels, max_size=64 * channels))
+        ints = np.array(ints[: len(ints) - len(ints) % channels])
+        payload = b"".join(int(v).to_bytes(bits // 8, "little", signed=True) for v in ints)
+        want = pcm_to_float_two_pass(ints, bits).reshape(-1, channels).mean(axis=1)
+        assert np.array_equal(decode_wav(wav_bytes(payload, 1, channels, 44100, bits)).samples, want)
 
     def test_float32_passthrough(self):
         x = np.array([0.25, -0.75, 0.0], dtype="<f4")
@@ -275,17 +294,60 @@ class TestResample:
         assert 20 * np.log10(out_rms / in_rms + 1e-15) < -60.0
 
     @pytest.mark.parametrize("src, dst", RATE_PAIRS)
-    def test_matches_padded_gemm_oracle(self, src, dst):
+    def test_matches_padded_gemm_oracle(self, src, dst, monkeypatch):
         # Lengths below the taps and below both fades, one block that is both
-        # first and last, then three blocks whose last one holds every row
-        # count mod 16 (with a partial last period when r > 0).
+        # first and last, then two blocks (r = 0) or three whose last one holds
+        # every row count mod 16 (with a partial last period when r > 0).
         down = src // np.gcd(src, dst)
         lengths = [1, 10, 33, 63, 5000]
         lengths += [(2 * RESAMPLE_BLOCK_PERIODS + r) * down + r for r in range(16)]
         x = np.random.default_rng(3).standard_normal(max(lengths)) * 0.3
         for n in lengths:
-            assert np.array_equal(resample(AudioBuffer(x[:n], src), dst).samples,
-                                  padded_gemm(x[:n], src, dst)), f"{n} samples"
+            want = padded_gemm(x[:n], src, dst)
+            # Three helpers are more than the pool has threads on a 2-core machine,
+            # so the caller also runs chunks it submitted that no helper started.
+            for helpers in (0, 1, 3):
+                monkeypatch.setattr(audio_io.block_helpers, "idle", helpers)
+                got = resample(AudioBuffer(x[:n], src), dst).samples
+                assert np.array_equal(got, want), f"{n} samples, {helpers} helpers"
+                assert audio_io.block_helpers.idle == helpers
+
+    def test_finishes_when_no_helper_starts(self, monkeypatch):
+        class NeverRuns:
+            def submit(self, fn, *args):
+                return Future()
+
+        monkeypatch.setattr(audio_io.block_helpers, "_pool", NeverRuns())
+        monkeypatch.setattr(audio_io.block_helpers, "idle", 3)
+        x = np.random.default_rng(4).standard_normal(5 * RESAMPLE_BLOCK_PERIODS * 147) * 0.3
+        got = []
+        # On a separate thread, so a wait on a chunk that never starts fails the test instead of hanging it.
+        worker = threading.Thread(target=lambda: got.append(resample(AudioBuffer(x, 44100), 48000).samples),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "resample waited on a chunk no helper started"
+        assert np.array_equal(got[0], padded_gemm(x, 44100, 48000))
+        assert audio_io.block_helpers.idle == 3
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_error_in_a_chunk_is_raised_and_helpers_given_back(self, failing):
+        helpers = audio_io.BlockHelpers(2)
+        caller = threading.current_thread()
+
+        def run(chunk):
+            fails = (threading.current_thread() is caller) == (failing == "caller")
+            for _ in chunk:
+                if fails:
+                    raise ValueError(failing)
+                time.sleep(0.002)  # leaves items for the other threads
+
+        try:
+            with pytest.raises(ValueError, match=failing):
+                helpers.run_blocks(run, range(40))
+            assert helpers.idle == 2
+        finally:
+            helpers._pool.shutdown()
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(pair=st.sampled_from(RATE_PAIRS), n=st.integers(1, 400000), seed=st.integers(0, 2**32 - 1))

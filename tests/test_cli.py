@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vgmfeat import cli
-from vgmfeat.audio_io import decode_wav
+from vgmfeat.audio_io import block_helpers, decode_wav
 from vgmfeat.dataset import feature_names, load_manifest, read_feature_table_csv
 from vgmfeat.synth import write_corpus
 
@@ -98,6 +98,24 @@ class TestExtractCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "ghost.wav" in err and "read" in err
+
+    def test_failing_track_gives_back_the_resampler_helpers(self, small_corpus, tmp_path, monkeypatch):
+        track = load_manifest((small_corpus / "manifest.csv").read_text())[0]
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,game,genre,title\n{small_corpus / track.path},g,action_rpg,t\n"
+                            "ghost.wav,g,action_rpg,t\n")
+        seen, real = [], cli.extract_track
+
+        def spy(*args):
+            seen.append(block_helpers.idle)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "extract_track", spy)
+        rc = cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--jobs", "2"])
+        assert rc == 2
+        # Two workers keep two cores busy while the pool runs; all helpers are idle again after it.
+        assert seen and set(seen) == {max(0, block_helpers.helpers - 1)}
+        assert block_helpers.idle == block_helpers.helpers
 
     def test_truncated_extensible_fmt_is_a_data_error(self, tmp_path, capsys):
         fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 48000, 96000, 2, 16) + b"\x16\x00\x10\x00"
@@ -404,6 +422,18 @@ class TestUsageErrors:
         assert rc == 1
         assert "n_mfcc must be <= n_mels (128), got 200" in capsys.readouterr().err
         assert not (out / "features.csv").exists()
+
+    @pytest.mark.parametrize("seconds, rc", [("0.3519", 1), ("0.35197917", 1), ("0.352", 0)])
+    def test_clip_too_short_to_analyze_rejected_before_extraction(self, small_corpus, tmp_path, capsys,
+                                                                   seconds, rc):
+        # 0.352 s is 16,896 samples at 48 kHz: 33 hops of 512, one more than the 180 BPM lag of 32 hops.
+        # 0.35197917 s rounds to one sample fewer.
+        out = tmp_path / "out"
+        assert cli.main(["extract", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
+                         "--clip-seconds", seconds]) == rc
+        assert (out / "features.csv").exists() == (rc == 0)
+        if rc:
+            assert "needs at least 16896 (0.352 s)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["classify", "report"])
     def test_unknown_feature_family_before_extraction(self, small_corpus, tmp_path, capsys, command):

@@ -21,8 +21,8 @@ from vgmfeat.dataset import (
     write_genre_summary_csv,
 )
 from vgmfeat.errors import TrackError
-from vgmfeat.features import PITCH_CLASSES, FrameSeries, tempo_from_spectrogram
-from vgmfeat.spectral import stft
+from vgmfeat.features import PITCH_CLASSES, FrameSeries, min_clip_samples, tempo_from_spectrogram
+from vgmfeat.spectral import StftParams, stft
 from vgmfeat.synth import make_click_track, write_corpus
 
 from conftest import sine
@@ -121,6 +121,22 @@ class TestFeatureRow:
         for i in range(n_mfcc):
             assert feats[f"mfcc_mean_{i}"] == ceps[i].mean()
             assert feats[f"mfcc_range_{i}"] == ceps[i].max() - ceps[i].min()
+
+
+class TestMinClipSamples:
+    # The ZCR frame decides the 4096 case; the shortest tempo lag decides the rest.
+    @pytest.mark.parametrize("rate, n_fft, hop, need", [
+        (48000, 2048, 512, 16896), (48000, 2048, 2048, 18432), (22050, 1024, 256, 7680),
+        (8000, 4096, 128, 4096), (1000, 256, 64, 448),
+    ])
+    def test_analyze_clip_accepts_exactly_the_minimum(self, rate, n_fft, hop, need):
+        params = StftParams(n_fft, hop)
+        assert min_clip_samples(params, rate) == need
+        spec = AnalysisSpec(params, n_mfcc=4, n_mels=8)
+        x = np.random.default_rng(8).uniform(-0.5, 0.5, need)
+        analyze_clip(AudioBuffer(x, rate), spec)
+        with pytest.raises(ValueError):
+            analyze_clip(AudioBuffer(x[:-1], rate), spec)
 
 
 class TestExtractTrack:
