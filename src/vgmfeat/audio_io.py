@@ -46,7 +46,7 @@ RESAMPLE_FADE_SAMPLES = 32
 # within one core's 2 MiB L2.
 RESAMPLE_BLOCK_PERIODS = 1024
 # Widest input span, in taps, that one branch group's kernel may cover, so
-# the kernels hold at most this many times the polyphase bank whatever the ratio.
+# the kernels hold at most this many times `taps` doubles per branch whatever the ratio.
 RESAMPLE_GROUP_SPAN_TAPS = 4
 
 
@@ -85,14 +85,16 @@ class PreprocessSpec:
     pad_short: bool = False
 
     def __post_init__(self):
-        if self.target_peak_dbfs > 0:
-            raise ValueError(f"target_peak_dbfs must be <= 0, got {self.target_peak_dbfs}")
-        if self.clip_duration_s <= 0:
-            raise ValueError(f"clip_duration_s must be positive, got {self.clip_duration_s}")
+        # Written so that NaN fails each comparison and is rejected too.
+        if not -math.inf < self.target_peak_dbfs <= 0:
+            raise ValueError(f"target_peak_dbfs must be finite and <= 0, got {self.target_peak_dbfs}")
         if self.target_sample_rate_hz <= 0:
             raise ValueError(
                 f"target_sample_rate_hz must be positive, got {self.target_sample_rate_hz}"
             )
+        if not 0 < self.clip_duration_s * self.target_sample_rate_hz < math.inf:
+            raise ValueError(f"clip_duration_s must be positive with a finite sample count at "
+                             f"{self.target_sample_rate_hz} Hz, got {self.clip_duration_s}")
 
     @property
     def clip_samples(self) -> int:
@@ -217,24 +219,6 @@ def encode_wav(buf: AudioBuffer, sample_format: str = "pcm16") -> bytes:
     return header + payload
 
 
-def _sinc_kernel_bank(up: int, down: int) -> np.ndarray:
-    """Polyphase bank of Kaiser-windowed sinc interpolation filters.
-
-    Row p holds the taps used for output samples whose fractional input
-    position is p/up; the low-pass cutoff sits at the narrower of the two
-    Nyquist frequencies so downsampling stays band-limited.
-    """
-    taps = RESAMPLE_TAPS_PER_PHASE
-    half = taps // 2
-    cutoff = 0.5 * min(1.0, up / down)  # cycles per input sample
-    i = np.arange(taps)
-    phases = np.arange(up)[:, None] / up
-    t = phases + (half - 1 - i)[None, :]  # offsets from the output instant
-    window = np.i0(RESAMPLE_KAISER_BETA * np.sqrt(1.0 - (t / half) ** 2))
-    window /= np.i0(RESAMPLE_KAISER_BETA)
-    return 2.0 * cutoff * np.sinc(2.0 * cutoff * t) * window
-
-
 def _branch_groups(up: int, down: int, n_branches: int):
     """Matrix kernels for the first n_branches polyphase branches, in consecutive groups.
 
@@ -242,22 +226,29 @@ def _branch_groups(up: int, down: int, n_branches: int):
     j*down//up + 1 (relative to the period's input shift). A group of branches
     ja..jb-1 is one kernel of shape (span, jb - ja) whose column j - ja holds
     branch j's taps at rows starts[j] - starts[ja] onwards; its span stays
-    within RESAMPLE_GROUP_SPAN_TAPS * taps. Returns [(offset, ja, jb, kernel)].
+    within RESAMPLE_GROUP_SPAN_TAPS * taps. Each group computes its own
+    branches' taps: a Kaiser-windowed sinc at phase (j*down % up)/up, cut off
+    at the lower of the two Nyquist rates. Returns [(offset, ja, jb, kernel)].
     """
-    bank = _sinc_kernel_bank(up, down)
-    taps = bank.shape[1]
-    starts = [j * down // up + 1 for j in range(n_branches)]
+    taps = RESAMPLE_TAPS_PER_PHASE
+    half = taps // 2
+    cutoff = 0.5 * min(1.0, up / down)  # cycles per input sample
+    i = np.arange(taps)
+    j = np.arange(n_branches)
+    starts = j * down // up + 1
     groups = []
     ja = 0
     while ja < n_branches:
-        jb = ja + 1
-        while jb < n_branches and starts[jb] - starts[ja] + taps <= RESAMPLE_GROUP_SPAN_TAPS * taps:
-            jb += 1
-        kernel = np.zeros((starts[jb - 1] - starts[ja] + taps, jb - ja))
-        for j in range(ja, jb):
-            row = starts[j] - starts[ja]
-            kernel[row : row + taps, j - ja] = bank[j * down % up]
-        groups.append((starts[ja], ja, jb, kernel))
+        jb = int(np.searchsorted(starts, starts[ja] + (RESAMPLE_GROUP_SPAN_TAPS - 1) * taps, side="right"))
+        t = (j[ja:jb] * down % up)[:, None] / up + (half - 1 - i)[None, :]  # offsets from the output instant
+        window = np.i0(RESAMPLE_KAISER_BETA * np.sqrt(1.0 - (t / half) ** 2))
+        window /= np.i0(RESAMPLE_KAISER_BETA)
+        offset = int(starts[ja])
+        kernel = np.zeros((starts[jb - 1] - offset + taps, jb - ja))
+        kernel[(starts[ja:jb] - offset)[:, None] + i, np.arange(jb - ja)[:, None]] = (
+            2.0 * cutoff * np.sinc(2.0 * cutoff * t) * window
+        )
+        groups.append((offset, ja, jb, kernel))
         ja = jb
     return groups
 

@@ -1,6 +1,7 @@
 import struct
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -355,7 +356,8 @@ class TestResample:
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         assert np.array_equal(resample(AudioBuffer(x, pair[0]), pair[1]).samples, padded_gemm(x, *pair))
 
-    @pytest.mark.parametrize("src, dst", RATE_PAIRS)
+    # 44100 -> 48001 Hz does not reduce: up = 48001 branches, in many groups.
+    @pytest.mark.parametrize("src, dst", RATE_PAIRS + [(44100, 48001)])
     def test_within_rounding_of_matrix_vector_loop(self, src, dst):
         # Both sum the same 64 products per output (the kernels' zeros add
         # exactly), each within 64 * eps/2 * sum|h*x| of the exact sum, so two
@@ -368,19 +370,29 @@ class TestResample:
         bound = 2 * RESAMPLE_TAPS_PER_PHASE * np.finfo(float).eps * np.abs(bank).sum(axis=1).max() * np.abs(x).max()
         assert np.max(np.abs(got - want)) <= bound
 
-    def test_kernels_stay_within_four_banks(self, monkeypatch):
-        # 44100 -> 48001 Hz does not reduce (up = 48001, down = 44100): one
-        # kernel over every branch would span ~44 k inputs, about 17 GB.
+    # Neither pair reduces (up = dst, down = src; 53,267 Hz is the YM2612's
+    # rate): one kernel over every branch would span ~src inputs, about 17 GB.
+    @pytest.mark.parametrize("src, dst", [(44100, 48001), (53267, 48000)])
+    def test_kernels_stay_within_four_banks(self, src, dst, monkeypatch):
         built = []
         monkeypatch.setattr(audio_io, "_branch_groups",
                             lambda *args: built.append(_branch_groups(*args)) or built[-1])
-        x = np.random.default_rng(6).standard_normal(882) * 0.3  # 20 ms
-        got = resample(AudioBuffer(x, 44100), 48001).samples
-        assert np.array_equal(got, padded_gemm(x, 44100, 48001))
+        x = np.random.default_rng(6).standard_normal(src // 50) * 0.3  # 20 ms
+        got = resample(AudioBuffer(x, src), dst).samples
+        assert np.array_equal(got, padded_gemm(x, src, dst))
         (groups,) = built
         assert len(groups) > 1
         n_branches = groups[-1][2]
         assert sum(kernel.size for *_, kernel in groups) <= 4 * RESAMPLE_TAPS_PER_PHASE * n_branches
+
+        # Building all `up` branches holds little beyond the kernels it returns: no bank of every phase.
+        tracemalloc.start()
+        try:
+            groups = _branch_groups(dst, src, dst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(kernel.nbytes for *_, kernel in groups) + 4 * 2**20
 
     def test_invalid_target(self):
         buf = AudioBuffer(np.zeros(10), 44100)
@@ -539,10 +551,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             AudioBuffer(np.zeros(4), 0)
 
-    def test_spec_ranges(self):
-        with pytest.raises(ValueError):
-            PreprocessSpec(target_peak_dbfs=1.0)
-        with pytest.raises(ValueError):
-            PreprocessSpec(clip_duration_s=0.0)
-        with pytest.raises(ValueError):
-            PreprocessSpec(target_sample_rate_hz=-1)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("target_peak_dbfs", 1.0),
+            ("target_peak_dbfs", float("nan")),
+            ("target_peak_dbfs", float("-inf")),
+            ("clip_duration_s", 0.0),
+            ("clip_duration_s", float("nan")),
+            ("clip_duration_s", float("inf")),
+            ("clip_duration_s", 1e305),  # finite, but its sample count is not
+            ("target_sample_rate_hz", -1),
+        ],
+    )
+    def test_spec_ranges(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PreprocessSpec(**{field: value})

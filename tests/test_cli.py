@@ -398,10 +398,16 @@ class TestUsageErrors:
             pytest.param("--n-mfcc", "0", "--n-mfcc", id="n-mfcc"),
             pytest.param("--test-fraction", "1.5", "--test-fraction", id="test-fraction"),
             pytest.param("--peak-dbfs", "2", "<= 0", id="peak-dbfs"),
+            pytest.param("--peak-dbfs", "nan", "finite", id="peak-dbfs-nan"),
+            pytest.param("--peak-dbfs", "-inf", "finite", id="peak-dbfs-minus-inf"),
+            pytest.param("--clip-seconds", "nan", "clip_duration_s", id="clip-seconds-nan"),
+            pytest.param("--clip-seconds", "inf", "clip_duration_s", id="clip-seconds-inf"),
+            pytest.param("--clip-seconds", "1e305", "clip_duration_s", id="clip-seconds-overflow"),
         ],
     )
     def test_bad_numeric_value(self, tmp_path, capsys, flag, value, message):
-        rc = cli.main(["report", "--manifest", "m.csv", "--out", str(tmp_path), flag, value])
+        # flag=value, because argparse reads a separate "-inf" as an option.
+        rc = cli.main(["report", "--manifest", "m.csv", "--out", str(tmp_path), f"{flag}={value}"])
         assert rc == 1
         assert message in capsys.readouterr().err
 
