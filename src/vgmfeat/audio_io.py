@@ -10,10 +10,12 @@ import math
 import os
 import queue
 import struct
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,18 +54,25 @@ RESAMPLE_GROUP_SPAN_TAPS = 4
 
 @dataclass
 class AudioBuffer:
-    """Mono audio: float64 samples in [-1, 1] plus their sample rate."""
+    """Mono audio: float64 samples in [-1, 1] plus their sample rate.
+
+    The constructor rejects NaN and Inf samples. `_known_finite` is internal:
+    only a producer in this module that has already checked every sample it
+    wrote (decode_wav, resample) passes True, so that a full-length track is
+    not scanned a second time.
+    """
 
     samples: np.ndarray
     sample_rate_hz: int
+    _known_finite: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _known_finite):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        if not _known_finite and self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain NaN or Inf")
 
     @property
@@ -88,6 +97,9 @@ class PreprocessSpec:
         # Written so that NaN fails each comparison and is rejected too.
         if not -math.inf < self.target_peak_dbfs <= 0:
             raise ValueError(f"target_peak_dbfs must be finite and <= 0, got {self.target_peak_dbfs}")
+        if 10.0 ** (self.target_peak_dbfs / 20.0) < sys.float_info.min:
+            raise ValueError(f"target_peak_dbfs must not put the peak below the smallest normal float "
+                             f"(about -6153 dBFS), got {self.target_peak_dbfs}")
         if self.target_sample_rate_hz <= 0:
             raise ValueError(
                 f"target_sample_rate_hz must be positive, got {self.target_sample_rate_hz}"
@@ -186,7 +198,8 @@ def decode_wav(data: bytes) -> AudioBuffer:
     x = x[: n_frames * n_channels]
     if n_channels > 1:
         x = x.reshape(n_frames, n_channels).mean(axis=1)
-    return AudioBuffer(x, int(sample_rate))
+    # Integer PCM lies in [-1, 1) by construction and float data was checked above.
+    return AudioBuffer(x, int(sample_rate), _known_finite=True)
 
 
 def encode_wav(buf: AudioBuffer, sample_format: str = "pcm16") -> bytes:
@@ -279,7 +292,8 @@ class BlockHelpers:
 
     The threads start on first use and are shared by the whole process. `idle`
     counts the helpers nobody holds: a caller that runs its own threads (the
-    CLI's --jobs pool) holds as many helpers as it keeps cores busy.
+    CLI's --jobs pool) holds as many helpers as it keeps cores busy, and a call
+    started ahead (see `ahead`) holds one until it returns.
     """
 
     def __init__(self, helpers: int):
@@ -289,17 +303,28 @@ class BlockHelpers:
         # A ThreadPoolExecutor starts its threads on the first submit, not here.
         self._pool = ThreadPoolExecutor(max(1, helpers), thread_name_prefix="vgmfeat-blocks")
 
-    @contextmanager
-    def hold(self, n: int):
-        """Take up to n idle helpers for the duration of the block; yields how many."""
+    def _take(self, n: int) -> int:
         with self._lock:
             n = max(0, min(n, self.idle))
             self.idle -= n
+        return n
+
+    def _give_back(self, n: int):
+        with self._lock:
+            self.idle += n
+
+    @contextmanager
+    def hold(self, n: int):
+        """Take up to n idle helpers for the duration of the block; yields how many."""
+        n = self._take(n)
         try:
             yield n
         finally:
-            with self._lock:
-                self.idle += n
+            self._give_back(n)
+
+    def ahead(self, fn, *args):
+        """Start fn(*args) on an idle helper; returns its Ahead, or None when no helper is idle."""
+        return Ahead(self, partial(fn, *args)) if self._take(1) else None
 
     def run_blocks(self, run, items: range):
         """Call run(chunk) on the calling thread and on idle helpers; the chunks cover `items` once.
@@ -327,6 +352,42 @@ class BlockHelpers:
                 future.result()
 
 
+class Ahead:
+    """One call running on a helper it holds (see BlockHelpers.ahead) until the call returns.
+
+    The helper is given back before the result can be taken, so a resample
+    that follows counts on it again. result() on a call that no helper has
+    started yet (a forked child's pool has no threads) cancels it and runs
+    it on the calling thread.
+    """
+
+    def __init__(self, helpers: BlockHelpers, call):
+        self._helpers = helpers
+        self._call = call
+        self._future = helpers._pool.submit(self._run)
+
+    def _run(self):
+        try:
+            return self._call()
+        finally:
+            self._helpers._give_back(1)
+
+    def _cancel(self) -> bool:
+        if not self._future.cancel():
+            return False
+        self._helpers._give_back(1)
+        return True
+
+    def result(self):
+        """The call's return value, or its exception raised here."""
+        return self._call() if self._cancel() else self._future.result()
+
+    def drop(self):
+        """Give the call up: returns once its helper is idle again; its result or error is discarded."""
+        if not self._cancel():
+            wait([self._future])
+
+
 def _cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -349,9 +410,12 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     on a block grid that does not depend on the input length. Idle
     block_helpers threads share the blocks out; each block writes only its
     own output rows, so the bits do not depend on which thread computed it.
+    Each block's output is checked for NaN or Inf (a finite input near the
+    float range can overflow the filter) while it is still in cache.
 
     Raises:
-        ValueError: non-positive target rate or empty input.
+        ValueError: non-positive target rate, empty input, or an output
+            sample that overflowed.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -380,8 +444,10 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     table = out.reshape(n_per, cols)
 
     def run(block_starts):
-        # One scratch buffer per thread: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB).
+        # Scratch per thread: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB), and one
+        # flag per output of a block, never more than `out` holds.
         tmp = np.empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
+        finite = np.empty(min(RESAMPLE_BLOCK_PERIODS, n_per) * cols, dtype=bool)
         for p0 in block_starts:
             rows = min(RESAMPLE_BLOCK_PERIODS, n_per - p0)
             lo = p0 * down - RESAMPLE_TAPS_PER_PHASE // 2
@@ -391,9 +457,12 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
                 block = tmp[: rows * len(kernel)].reshape(rows, len(kernel))
                 np.copyto(block, spans[:, offset : offset + len(kernel)])
                 np.matmul(block, kernel, out=table[p0 : p0 + rows, ja:jb])
+            done = out[p0 * cols : min((p0 + rows) * cols, n_out)]  # the block's rows, as far as they are kept
+            if not np.isfinite(done, out=finite[: len(done)]).all():
+                raise ValueError("samples contain NaN or Inf")
 
     block_helpers.run_blocks(run, range(0, n_per, RESAMPLE_BLOCK_PERIODS))
-    return AudioBuffer(out[:n_out], int(target_rate))
+    return AudioBuffer(out[:n_out], int(target_rate), _known_finite=True)
 
 
 def peak_gain(samples: np.ndarray, target_peak_dbfs: float) -> float:

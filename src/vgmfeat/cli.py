@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -22,6 +23,7 @@ from .dataset import (
     FEATURE_FAMILIES,
     AnalysisSpec,
     LabeledDataset,
+    ReadAhead,
     extract_track,
     feature_names,
     feature_table_json,
@@ -97,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analysis sample rate (default %(default)s)")
         p.add_argument("--pad-short", action="store_true", help="zero-pad tracks shorter than the clip")
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="tracks processed concurrently; cores left over split each track's resampling "
-                            "(default %(default)s)")
+                       help="tracks processed concurrently; cores left over split each track's resampling, "
+                            "and with 1 job an idle core reads and decodes the next track, one track ahead, "
+                            "while this one is analyzed (default %(default)s)")
 
     def add_analysis(p):
         p.add_argument("--n-fft", type=int, default=StftParams.n_fft, help="FFT frame length (default %(default)s)")
@@ -159,13 +162,20 @@ def _load_records(manifest_path):
     return records, str(Path(manifest_path).parent)
 
 
-def _map_tracks(records, worker, jobs):
-    jobs = min(jobs, len(records))
+def _map_tracks(paths, worker, jobs):
+    """worker(i, reader) for every track i, results in track order.
+
+    With one job the tracks run in order on this thread, and `reader` (a
+    ReadAhead) loads each next track on an idle core; with more, each worker
+    thread loads its own tracks and `reader` is None.
+    """
+    jobs = min(jobs, len(paths))
     if jobs > 1:
         # The workers keep `jobs` cores busy; the resampler may spread only onto cores left over.
         with block_helpers.hold(jobs - 1), ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, records))
-    return [worker(rec) for rec in records]
+            return list(pool.map(lambda i: worker(i, None), range(len(paths))))
+    with closing(ReadAhead(paths)) as reader:
+        return [worker(i, reader) for i in range(len(paths))]
 
 
 def _write(out_dir: Path, name: str, text_or_bytes, produced: list) -> Path:
@@ -182,9 +192,8 @@ def _write(out_dir: Path, name: str, text_or_bytes, produced: list) -> Path:
 def _run_preprocess(args, pre: PreprocessSpec, out_dir: Path, produced: list):
     records, base = _load_records(args.manifest)
     encode = partial(encode_wav, sample_format=args.wav_format)
-    payloads = _map_tracks(
-        records, lambda rec: process_track(track_path(rec, base), pre, "encode", encode), args.jobs
-    )
+    paths = [track_path(rec, base) for rec in records]
+    payloads = _map_tracks(paths, lambda i, reader: process_track(paths[i], pre, "encode", encode, reader), args.jobs)
     written = []
     for i, (rec, payload) in enumerate(zip(records, payloads)):
         name = f"{i:03d}_{Path(rec.path).stem}.wav"
@@ -212,13 +221,13 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
             names,
         )
 
-        def analyze(i):
+        def analyze(i, reader):
             # Copy the row into the table: a row kept past its worker pins freed heap memory,
             # which put `report --jobs 2` peak RSS about 20 MB higher in most runs.
-            ds.matrix[i], series = extract_track(records[i], pre, spec, base)
+            ds.matrix[i], series = extract_track(records[i], pre, spec, base, reader)
             return {kind: frame_series_csv(fs) for kind, fs in series.items()} if with_series else {}
 
-        rendered = _map_tracks(range(len(records)), analyze, args.jobs)
+        rendered = _map_tracks([track_path(rec, base) for rec in records], analyze, args.jobs)
         table = write_feature_table_csv(ds)
         if command in ("extract", "report"):
             _write(out_dir, "features.csv", table, produced)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer, PreprocessSpec, decode_wav, preprocess
+from .audio_io import AudioBuffer, PreprocessSpec, block_helpers, decode_wav, preprocess
 from .errors import VgmfeatError, TrackError
 from .features import (
     PITCH_CLASSES,
@@ -193,20 +193,68 @@ def track_path(rec: TrackRecord, base_dir: str | None = None) -> Path:
     return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
 
 
-def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
-    """Read, decode and preprocess one WAV file, then return last(clip).
-
-    Any failure is re-raised as TrackError carrying the track path and the
-    pipeline stage that broke; `last_stage` names the stage `last` runs.
-    """
+def load_track(path: Path) -> AudioBuffer:
+    """Read and decode one WAV file; a failure is re-raised as TrackError naming the stage."""
     stage = "read"
     try:
         data = path.read_bytes()
         stage = "decode"
-        buf = decode_wav(data)
-        del data  # the file bytes are not needed past decoding; free them before the resampler runs
-        stage = "preprocess"
+        return decode_wav(data)
+    except (OSError, ValueError, VgmfeatError) as exc:
+        raise TrackError(str(path), stage, exc) from exc
+
+
+class ReadAhead:
+    """Loads a run's tracks, each next one on an idle block helper.
+
+    take(path) returns that file's decoded buffer: the load a helper started
+    for it, or one made here. Once the caller has preprocessed the track and
+    keeps nothing of its full-length arrays, advance(path) starts the track
+    that follows it in `paths` on an idle helper, if there is one, so that its
+    read and decode overlap the caller's analysis: the run holds at most one
+    track's file and decoded arrays beyond what it works on. A load error
+    comes out of the take() for its track, after every earlier track has
+    finished. close() gives up a load the run no longer needs.
+    """
+
+    def __init__(self, paths):
+        self.following = dict(zip(paths, paths[1:]))
+        self.next = None  # (path, Ahead) of the load started ahead, if any
+
+    def take(self, path: Path) -> AudioBuffer:
+        started, self.next = self.next, None
+        if started and started[0] == path:
+            return started[1].result()
+        if started:
+            started[1].drop()
+        return load_track(path)
+
+    def advance(self, path: Path):
+        after = self.following.get(path)
+        started = block_helpers.ahead(load_track, after) if after is not None else None
+        self.next = (after, started) if started else None
+
+    def close(self):
+        if self.next:
+            self.next[1].drop()
+            self.next = None
+
+
+def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last, reader: ReadAhead | None = None):
+    """Read, decode and preprocess one WAV file, then return last(clip).
+
+    Any failure is re-raised as TrackError carrying the track path and the
+    pipeline stage that broke; `last_stage` names the stage `last` runs. With
+    a `reader`, the file comes from reader.take(path) and the track after it
+    starts loading while `last` runs.
+    """
+    buf = reader.take(path) if reader else load_track(path)
+    stage = "preprocess"
+    try:
         clip = preprocess(buf, pre)
+        del buf  # the full-length track dies here, before the next one is loaded
+        if reader:
+            reader.advance(path)
         stage = last_stage
         return last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:
@@ -218,12 +266,13 @@ def extract_track(
     pre: PreprocessSpec = PreprocessSpec(),
     spec: AnalysisSpec = AnalysisSpec(),
     base_dir: str | None = None,
+    reader: ReadAhead | None = None,
 ):
     """Decode, preprocess and featurize one manifest record (see process_track).
 
     Returns analyze_clip's (row, series).
     """
-    return process_track(track_path(rec, base_dir), pre, "analyze", lambda clip: analyze_clip(clip, spec))
+    return process_track(track_path(rec, base_dir), pre, "analyze", lambda clip: analyze_clip(clip, spec), reader)
 
 
 def summarize_by_genre(ds: LabeledDataset) -> GenreSummary:

@@ -1,4 +1,5 @@
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -331,6 +332,103 @@ class TestResample:
         assert np.array_equal(got[0], padded_gemm(x, 44100, 48000))
         assert audio_io.block_helpers.idle == 3
 
+    # Alternating +-1.7e308 is finite, but sits at the input Nyquist, where the taps
+    # of every branch add up in magnitude: the filter overflows to Inf.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("helpers", [0, 1])
+    def test_overflowing_filter_is_rejected(self, helpers, monkeypatch):
+        x = np.full(3 * RESAMPLE_BLOCK_PERIODS * 147, 1.7e308)
+        x[1::2] *= -1
+        monkeypatch.setattr(audio_io.block_helpers, "idle", helpers)
+        with pytest.raises(ValueError, match="samples contain NaN or Inf"):
+            resample(AudioBuffer(x, 44100), 48000)
+        assert audio_io.block_helpers.idle == helpers
+
+    def test_ahead_gives_its_helper_back_before_the_result(self):
+        helpers = audio_io.BlockHelpers(1)
+        try:
+            release = threading.Event()
+            blocked = helpers.ahead(release.wait)
+            assert helpers.ahead(lambda: None) is None  # the one helper is held
+            release.set()
+            assert blocked.result() is True and helpers.idle == 1
+            seen, running = [], threading.Event()
+
+            def call(x):
+                seen.append(helpers.idle)
+                running.set()
+                return x + 1
+
+            started = helpers.ahead(call, 41)
+            assert running.wait(10)  # on the helper: result() would run a call not yet started itself
+            assert started.result() == 42 and helpers.idle == 1
+            assert seen == [0]  # held while the call ran
+            with pytest.raises(ZeroDivisionError):
+                helpers.ahead(lambda: 1 / 0).result()
+            assert helpers.idle == 1
+        finally:
+            helpers._pool.shutdown()
+
+    def test_ahead_that_no_helper_starts_runs_on_the_caller_or_is_dropped(self):
+        class NeverRuns:
+            def submit(self, fn, *args):
+                return Future()
+
+        helpers = audio_io.BlockHelpers(1)
+        helpers._pool = NeverRuns()
+        calls = []
+        started = helpers.ahead(calls.append, "caller")
+        assert helpers.idle == 0
+        assert started.result() is None and calls == ["caller"] and helpers.idle == 1
+        helpers.ahead(calls.append, "dropped").drop()
+        assert calls == ["caller"] and helpers.idle == 1
+
+    def test_helper_count_survives_racing_callers(self):
+        helpers = audio_io.BlockHelpers(2)
+        seen = []
+
+        def caller(k):
+            for i in range(200):
+                started = helpers.ahead(lambda: seen.append(helpers.idle))
+                if started and (i + k) % 3:
+                    started.result()
+                elif started:
+                    started.drop()
+                with helpers.hold(1) as n:
+                    seen.append(helpers.idle + n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            helpers._pool.shutdown()
+        assert helpers.idle == 2 and seen and all(0 <= idle <= 2 for idle in seen)
+
+    def test_dropped_ahead_waits_for_its_call(self):
+        helpers = audio_io.BlockHelpers(1)
+        running, release = threading.Event(), threading.Event()
+
+        def call():
+            running.set()
+            release.wait(10)
+            raise ZeroDivisionError
+
+        try:
+            started = helpers.ahead(call)
+            assert running.wait(10)  # started, so drop() cannot cancel it
+            threading.Timer(0.05, release.set).start()
+            started.drop()  # the call's error is discarded
+            assert release.is_set() and helpers.idle == 1
+        finally:
+            helpers._pool.shutdown()
+
     @pytest.mark.parametrize("failing", ["caller", "helper"])
     def test_error_in_a_chunk_is_raised_and_helpers_given_back(self, failing):
         helpers = audio_io.BlockHelpers(2)
@@ -557,6 +655,7 @@ class TestValidation:
             ("target_peak_dbfs", 1.0),
             ("target_peak_dbfs", float("nan")),
             ("target_peak_dbfs", float("-inf")),
+            ("target_peak_dbfs", -7000.0),  # its amplitude is below the smallest normal float
             ("clip_duration_s", 0.0),
             ("clip_duration_s", float("nan")),
             ("clip_duration_s", float("inf")),
@@ -567,3 +666,8 @@ class TestValidation:
     def test_spec_ranges(self, field, value):
         with pytest.raises(ValueError, match=field):
             PreprocessSpec(**{field: value})
+
+    def test_lowest_normal_peak_accepted(self):
+        assert PreprocessSpec(target_peak_dbfs=-6153.0).target_peak_dbfs == -6153.0
+        with pytest.raises(ValueError, match="target_peak_dbfs"):
+            PreprocessSpec(target_peak_dbfs=-6154.0)

@@ -4,12 +4,15 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vgmfeat import cli
+from vgmfeat import audio_io, cli, dataset
 from vgmfeat.audio_io import block_helpers, decode_wav
 from vgmfeat.dataset import feature_names, load_manifest, read_feature_table_csv
 from vgmfeat.synth import write_corpus
@@ -99,23 +102,99 @@ class TestExtractCommand:
         err = capsys.readouterr().err
         assert "ghost.wav" in err and "read" in err
 
-    def test_failing_track_gives_back_the_resampler_helpers(self, small_corpus, tmp_path, monkeypatch):
+    def test_failing_track_gives_back_the_resampler_helpers(self, small_corpus, tmp_path, monkeypatch, capsys):
         track = load_manifest((small_corpus / "manifest.csv").read_text())[0]
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path,game,genre,title\n{small_corpus / track.path},g,action_rpg,t\n"
                             "ghost.wav,g,action_rpg,t\n")
-        seen, real = [], cli.extract_track
+        # Three helpers on any host, more than --jobs 2 should hold, so that a wrong count held shows;
+        # --jobs 1 has one for the missing second track's load ahead. Fewer pool threads only queue.
+        monkeypatch.setattr(block_helpers, "helpers", 3)
+        monkeypatch.setattr(block_helpers, "idle", 3)
+        seen, real_extract, real_load = [], cli.extract_track, dataset.load_track
+        ghost_tried = threading.Event()
 
         def spy(*args):
             seen.append(block_helpers.idle)
-            return real(*args)
+            started.wait(10)  # each worker counts before any resamples and holds helpers of its own
+            return real_extract(*args)
+
+        def load(path):
+            if path.name == "ghost.wav":
+                ghost_tried.set()
+                time.sleep(0.2)  # still loading when the first track fails
+            return real_load(path)
+
+        def analyze_fails(clip, spec):
+            # Fail only once the second track's load has begun, so its error is there to be dropped.
+            assert ghost_tried.wait(10)
+            raise ValueError("boom")
 
         monkeypatch.setattr(cli, "extract_track", spy)
-        rc = cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--jobs", "2"])
-        assert rc == 2
-        # Two workers keep two cores busy while the pool runs; all helpers are idle again after it.
-        assert seen and set(seen) == {max(0, block_helpers.helpers - 1)}
-        assert block_helpers.idle == block_helpers.helpers
+        monkeypatch.setattr(dataset, "load_track", load)
+        monkeypatch.setattr(dataset, "analyze_clip", analyze_fails)
+        for jobs in (1, 2):
+            seen.clear()
+            ghost_tried.clear()
+            started = threading.Barrier(jobs)
+            rc = cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--jobs", str(jobs)])
+            assert rc == 2
+            # The first track's error, in manifest order, whichever failed first.
+            assert capsys.readouterr().err == f"error [extract]: {small_corpus / track.path}: analyze: boom\n"
+            # Two workers keep two cores busy while the pool runs; one job holds nothing while it
+            # analyzes. Every helper is idle again afterwards, the load ahead included.
+            assert seen == [block_helpers.helpers - (jobs - 1)] * jobs, jobs
+            assert block_helpers.idle == block_helpers.helpers, jobs
+
+    @pytest.mark.parametrize("command", ["report", "preprocess"])
+    def test_loading_ahead_does_not_change_output(self, small_corpus, tmp_path, monkeypatch, command):
+        outs = []
+        for idle in (0, 1):
+            monkeypatch.setattr(block_helpers, "idle", idle)
+            out = tmp_path / f"idle{idle}"
+            assert cli.main([command, "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out)]) == 0
+            outs.append({name: (out / name).read_bytes() for name in declared_files(out)})
+        assert len(outs[0]) == (5 + 9 * 5 if command == "report" else 9 + 1)
+        assert outs[0] == outs[1]
+
+    def test_next_track_loads_once_the_last_is_preprocessed(self, small_corpus, tmp_path, monkeypatch):
+        # Tracks run in order at --jobs 1, so the k-th call of each stage is track k.
+        events, decoded, resampled, helper_loads = [], [], [], []
+        real_decode, real_preprocess, real_resample = dataset.decode_wav, dataset.preprocess, audio_io.resample
+
+        def decode(data):
+            k = sum(event == "decode" for event, _ in events)
+            # Nothing of the track before may be alive: not its decoded nor its resampled samples.
+            events.append(("decode", k))
+            if k:
+                helper_loads.append(threading.current_thread() is not threading.main_thread())
+                events.append(("previous track freed", decoded[k - 1]() is None and resampled[k - 1]() is None))
+            buf = real_decode(data)
+            decoded.append(weakref.ref(buf.samples))
+            return buf
+
+        def resample(buf, rate):
+            out = real_resample(buf, rate)
+            resampled.append(weakref.ref(out.samples))
+            return out
+
+        def preprocess(buf, pre):
+            clip = real_preprocess(buf, pre)
+            events.append(("preprocessed", sum(event == "preprocessed" for event, _ in events)))
+            return clip
+
+        monkeypatch.setattr(block_helpers, "idle", 1)
+        monkeypatch.setattr(dataset, "decode_wav", decode)
+        monkeypatch.setattr(dataset, "preprocess", preprocess)
+        monkeypatch.setattr(audio_io, "resample", resample)
+        assert cli.main(["extract", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(tmp_path)]) == 0
+        order = [event for event in events if event[0] != "previous track freed"]
+        assert order == [("decode", 0)] + [event for k in range(1, 9) for event in
+                                           [("preprocessed", k - 1), ("decode", k)]] + [("preprocessed", 8)]
+        assert [freed for event, freed in events if event == "previous track freed"] == [True] * 8
+        # Each later track is loaded on the helper, unless the helper had not started when it was needed.
+        assert any(helper_loads)
+        assert block_helpers.idle == 1
 
     def test_truncated_extensible_fmt_is_a_data_error(self, tmp_path, capsys):
         fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 48000, 96000, 2, 16) + b"\x16\x00\x10\x00"
@@ -400,6 +479,7 @@ class TestUsageErrors:
             pytest.param("--peak-dbfs", "2", "<= 0", id="peak-dbfs"),
             pytest.param("--peak-dbfs", "nan", "finite", id="peak-dbfs-nan"),
             pytest.param("--peak-dbfs", "-inf", "finite", id="peak-dbfs-minus-inf"),
+            pytest.param("--peak-dbfs", "-7000", "target_peak_dbfs", id="peak-dbfs-underflow"),
             pytest.param("--clip-seconds", "nan", "clip_duration_s", id="clip-seconds-nan"),
             pytest.param("--clip-seconds", "inf", "clip_duration_s", id="clip-seconds-inf"),
             pytest.param("--clip-seconds", "1e305", "clip_duration_s", id="clip-seconds-overflow"),

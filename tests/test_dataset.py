@@ -1,12 +1,15 @@
+from contextlib import closing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, encode_wav
+from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, block_helpers, encode_wav
 from vgmfeat.dataset import (
     AnalysisSpec,
     GenreLabel,
     LabeledDataset,
+    ReadAhead,
     TrackRecord,
     analyze_clip,
     extract_track,
@@ -184,6 +187,24 @@ class TestExtractTrack:
         b, _ = extract_track(rec)
         np.testing.assert_array_equal(a, b)
 
+
+    def test_read_ahead_loads_the_path_it_is_given(self, tmp_path, monkeypatch):
+        paths = [tmp_path / f"{k}.wav" for k in range(3)]
+        for k, path in enumerate(paths):
+            path.write_bytes(encode_wav(AudioBuffer(np.full(100, k / 4), 8000 + k), "pcm16"))
+        monkeypatch.setattr(block_helpers, "idle", 1)
+        with closing(ReadAhead(paths)) as reader:
+            assert reader.take(paths[0]).sample_rate_hz == 8000
+            reader.advance(paths[0])
+            assert reader.next[0] == paths[1]
+            # Asked for another track, it gives up the load ahead and loads that one itself.
+            assert reader.take(paths[2]).sample_rate_hz == 8002
+            assert reader.next is None and block_helpers.idle == 1
+            reader.advance(paths[2])  # nothing follows the last track
+            assert reader.next is None
+            reader.advance(paths[1])
+            assert reader.take(paths[2]).sample_rate_hz == 8002
+        assert reader.next is None and block_helpers.idle == 1
 
 class TestSummarizeByGenre:
     def test_single_track_per_genre(self):
