@@ -288,7 +288,7 @@ def _faded_span(x: np.ndarray, ramp: np.ndarray, lo: int, hi: int) -> np.ndarray
 
 
 class BlockHelpers:
-    """Helper threads, one per core beyond the first, that share out resample's blocks.
+    """Helper threads, one per core beyond the first, that share out resample's and stft's blocks.
 
     The threads start on first use and are shared by the whole process. `idle`
     counts the helpers nobody holds: a caller that runs its own threads (the
@@ -453,10 +453,12 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
             lo = p0 * down - RESAMPLE_TAPS_PER_PHASE // 2
             seg = _faded_span(x, ramp, lo, lo + (rows - 1) * down + width)
             spans = np.lib.stride_tricks.sliding_window_view(seg, width)[::down]
-            for offset, ja, jb, kernel in groups:
-                block = tmp[: rows * len(kernel)].reshape(rows, len(kernel))
-                np.copyto(block, spans[:, offset : offset + len(kernel)])
-                np.matmul(block, kernel, out=table[p0 : p0 + rows, ja:jb])
+            # An overflow is an error raised below, not a warning printed by whichever thread ran the block.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for offset, ja, jb, kernel in groups:
+                    block = tmp[: rows * len(kernel)].reshape(rows, len(kernel))
+                    np.copyto(block, spans[:, offset : offset + len(kernel)])
+                    np.matmul(block, kernel, out=table[p0 : p0 + rows, ja:jb])
             done = out[p0 * cols : min((p0 + rows) * cols, n_out)]  # the block's rows, as far as they are kept
             if not np.isfinite(done, out=finite[: len(done)]).all():
                 raise ValueError("samples contain NaN or Inf")

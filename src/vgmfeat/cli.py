@@ -99,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analysis sample rate (default %(default)s)")
         p.add_argument("--pad-short", action="store_true", help="zero-pad tracks shorter than the clip")
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="tracks processed concurrently; cores left over split each track's resampling, "
-                            "and with 1 job an idle core reads and decodes the next track, one track ahead, "
-                            "while this one is analyzed (default %(default)s)")
+                       help="tracks processed concurrently; cores left over split each track's resampling "
+                            "and STFT blocks, and with 1 job an idle core reads and decodes the next track, "
+                            "one track ahead, while this one is analyzed (default %(default)s)")
 
     def add_analysis(p):
         p.add_argument("--n-fft", type=int, default=StftParams.n_fft, help="FFT frame length (default %(default)s)")

@@ -2,6 +2,7 @@
 
 import csv
 import enum
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -240,13 +241,42 @@ class ReadAhead:
             self.next = None
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, looked up on first use; None where the C library has none."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library handle (Windows)
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def release_free_heap():
+    """Give the C heap's free pages back to the OS, where the C library can (glibc).
+
+    glibc raises its mmap threshold to the largest mapped buffer freed so far
+    (up to 32 MB), so after the first track most numpy buffers come from its
+    heap, and a freed heap block stays resident unless it sits at the top. One
+    track's analysis frees tens of MB that mostly do not; they would stay
+    resident while the next, possibly much longer, track is preprocessed.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last, reader: ReadAhead | None = None):
     """Read, decode and preprocess one WAV file, then return last(clip).
 
     Any failure is re-raised as TrackError carrying the track path and the
     pipeline stage that broke; `last_stage` names the stage `last` runs. With
     a `reader`, the file comes from reader.take(path) and the track after it
-    starts loading while `last` runs.
+    starts loading while `last` runs. Once `last` returns, the heap it freed
+    goes back to the OS (release_free_heap).
     """
     buf = reader.take(path) if reader else load_track(path)
     stage = "preprocess"
@@ -256,9 +286,12 @@ def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last, reader
         if reader:
             reader.advance(path)
         stage = last_stage
-        return last(clip)
+        result = last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:
         raise TrackError(str(path), stage, exc) from exc
+    del clip  # its pages go back too
+    release_free_heap()
+    return result
 
 
 def extract_track(

@@ -86,11 +86,12 @@ def chroma(
     if spec.kind != "power":
         raise ValueError(f"chroma expects a power spectrogram, got kind {spec.kind!r}")
     freqs = spec.bin_frequencies_hz()
-    audible = freqs >= fmin_hz
-    midi = np.round(12.0 * np.log2(freqs[audible] / reference_hz) + 69.0).astype(int)
+    # Bin frequencies increase, so the audible bins are a suffix: a view, not a copy.
+    k0 = int(np.searchsorted(freqs, fmin_hz))
+    midi = np.round(12.0 * np.log2(freqs[k0:] / reference_hz) + 69.0).astype(int)
     classes = np.mod(midi, 12)
     fold = (classes[None, :] == np.arange(12)[:, None]).astype(np.float64)
-    energy = fold @ spec.values[audible]
+    energy = fold @ spec.values[k0:]
     peak = energy.max(axis=0)
     energy = np.divide(energy, peak, out=np.zeros_like(energy), where=peak > 0)
     return FrameSeries(energy, "chroma")
@@ -123,7 +124,8 @@ def onset_envelope(spec: Spectrogram) -> np.ndarray:
     if spec.kind != "magnitude":
         raise ValueError(f"onset envelope expects a magnitude spectrogram, got {spec.kind!r}")
     mag = spec.values
-    return np.maximum(mag[:, 1:] - mag[:, :-1], 0.0).sum(axis=0)
+    flux = mag[:, 1:] - mag[:, :-1]
+    return np.maximum(flux, 0.0, out=flux).sum(axis=0)
 
 
 def tempo_bpm(

@@ -4,12 +4,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, block_helpers
 
 MEL_HIGH_FREQUENCY_Q = 2595.0
 MEL_BREAK_FREQUENCY_HZ = 700.0
 
 WINDOW_FUNCTIONS = ("hann", "hamming", "rectangular")
+# Frames per STFT block. At the default n_fft of 2048 a block's windowed
+# frames and its complex spectrum are 2 MB each; each frame is transformed on
+# its own, so the block size never changes an output bit.
+STFT_BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,11 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
     0..n_fft/2 of |X[k]|, X[k] = sum_t w[t] x[t] e^(-2i pi k t / n_fft); the
     test suite pins single frames against a direct O(n^2) DFT. Use
     Spectrogram.to_power() for |X[k]|^2.
+
+    The magnitude is one frames x bins array, returned transposed. Its blocks
+    of STFT_BLOCK_FRAMES frames are windowed into per-thread scratch and
+    transformed by the calling thread and idle block_helpers threads; each
+    block writes only its own rows.
     """
     x = buf.samples
     if len(x) == 0:
@@ -79,9 +88,19 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
     n_fft, hop = params.n_fft, params.hop
     n_frames = 1 + len(x) // hop
     padded = np.pad(x, n_fft // 2, mode="reflect") if len(x) > 1 else np.pad(x, n_fft // 2)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][:n_frames]
-    spec = np.abs(np.fft.rfft(frames * make_window(params.window, n_fft), axis=1)).T
-    return Spectrogram(spec, params, buf.sample_rate_hz, "magnitude")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
+    window = make_window(params.window, n_fft)
+    mag = np.empty((n_frames, n_fft // 2 + 1))
+
+    def run(block_starts):
+        windowed = np.empty((min(STFT_BLOCK_FRAMES, n_frames), n_fft))
+        for f0 in block_starts:
+            f1 = min(f0 + STFT_BLOCK_FRAMES, n_frames)
+            block = np.multiply(frames[f0:f1], window, out=windowed[: f1 - f0])
+            np.abs(np.fft.rfft(block, axis=1), out=mag[f0:f1])
+
+    block_helpers.run_blocks(run, range(0, n_frames, STFT_BLOCK_FRAMES))
+    return Spectrogram(mag.T, params, buf.sample_rate_hz, "magnitude")
 
 
 def hz_to_mel(f):

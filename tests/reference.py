@@ -32,6 +32,20 @@ def naive_dft_magnitudes(signal):
     return mags
 
 
+def one_shot_stft(samples, n_fft, hop, window):
+    """Magnitude STFT of every frame in one rfft call: bins x frames, a transposed frames x bins array.
+
+    Frames are centered on t*hop of the signal reflect-padded by n_fft/2 (a
+    one-sample signal is zero-padded, having nothing to reflect), and each is
+    multiplied by `window` before its transform.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    n_frames = 1 + len(samples) // hop
+    padded = np.pad(samples, n_fft // 2, mode="reflect" if len(samples) > 1 else "constant")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][:n_frames]
+    return np.abs(np.fft.rfft(frames * window, axis=1)).T
+
+
 def naive_dct2_ortho(x):
     """Orthonormal DCT-II along axis 0 as an explicit cosine sum."""
     x = np.asarray(x, dtype=np.float64)

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -334,14 +335,17 @@ class TestResample:
 
     # Alternating +-1.7e308 is finite, but sits at the input Nyquist, where the taps
     # of every branch add up in magnitude: the filter overflows to Inf.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("helpers", [0, 1])
     def test_overflowing_filter_is_rejected(self, helpers, monkeypatch):
         x = np.full(3 * RESAMPLE_BLOCK_PERIODS * 147, 1.7e308)
         x[1::2] *= -1
         monkeypatch.setattr(audio_io.block_helpers, "idle", helpers)
-        with pytest.raises(ValueError, match="samples contain NaN or Inf"):
-            resample(AudioBuffer(x, 44100), 48000)
+        # The error is the only report: no numpy warning, from this thread or from a helper.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="samples contain NaN or Inf"):
+                resample(AudioBuffer(x, 44100), 48000)
+        assert [str(w.message) for w in caught] == []
         assert audio_io.block_helpers.idle == helpers
 
     def test_ahead_gives_its_helper_back_before_the_result(self):

@@ -1,6 +1,8 @@
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -239,6 +241,42 @@ class TestExtractCommand:
             outs.append({name: (out / name).read_bytes() for name in declared_files(out)})
         assert len(outs[0]) == 5 + 9 * 5  # the feature, summary and report files plus 5 series per track
         assert outs[0] == outs[1]
+
+
+class TestHeapRelease:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_freed_heap_is_given_back_once_per_track(self, small_corpus, tmp_path, monkeypatch, jobs):
+        calls = []
+        monkeypatch.setattr(dataset, "_malloc_trim", lambda: calls.append)  # release_free_heap calls trim(0)
+        assert cli.main(["extract", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(tmp_path),
+                         "--jobs", jobs]) == 0
+        assert calls == [0] * 9
+
+    def test_c_library_without_malloc_trim_gives_the_same_output(self, small_corpus, tmp_path, monkeypatch):
+        class NoMallocTrim:
+            def __init__(self, name):
+                pass
+
+        outs = []
+        for lib in ("host", "none"):
+            dataset._malloc_trim.cache_clear()  # the lookup runs again, in this loop's C library
+            try:
+                with monkeypatch.context() as mp:
+                    if lib == "none":
+                        mp.setattr(ctypes, "CDLL", NoMallocTrim)
+                    out = tmp_path / lib
+                    assert cli.main(["report", "--manifest", str(small_corpus / "manifest.csv"),
+                                     "--out", str(out)]) == 0
+                    if lib == "none":
+                        assert dataset._malloc_trim() is None
+            finally:
+                dataset._malloc_trim.cache_clear()
+            outs.append({name: (out / name).read_bytes() for name in declared_files(out)})
+        assert outs[0] == outs[1]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is a glibc function")
+    def test_glibc_malloc_trim_is_found(self):
+        assert dataset._malloc_trim() is not None
 
 
 class TestSummarizeCommand:

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import closing
 
 import numpy as np
@@ -124,6 +125,25 @@ class TestFeatureRow:
         for i in range(n_mfcc):
             assert feats[f"mfcc_mean_{i}"] == ceps[i].mean()
             assert feats[f"mfcc_range_{i}"] == ceps[i].max() - ceps[i].min()
+
+
+class TestAnalysisMemory:
+    @pytest.mark.parametrize("idle", [0, 1])
+    def test_peak_stays_within_three_and_a_half_magnitudes(self, idle, monkeypatch):
+        # numpy reports its buffers to tracemalloc, so the peak counts every array analyze_clip
+        # makes. The magnitude, its power and the onset flux are the full-size arrays it needs.
+        clip = make_click_track(120.0, 15.0, 48000, rng=np.random.default_rng(21))
+        clip = AudioBuffer(clip.samples + sine(330.0, 15.0, 48000, 0.05), 48000)
+        mag_bytes = (1 + len(clip.samples) // StftParams.hop) * (StftParams.n_fft // 2 + 1) * 8
+        monkeypatch.setattr(block_helpers, "idle", idle)
+        analyze_clip(clip)  # first-call caches, such as the FFT plan, are not part of the bound
+        tracemalloc.start()
+        try:
+            analyze_clip(clip)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * mag_bytes, f"{peak / mag_bytes:.2f} magnitudes"
 
 
 class TestMinClipSamples:

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from vgmfeat.audio_io import AudioBuffer
+from vgmfeat.audio_io import AudioBuffer, block_helpers
 from vgmfeat.spectral import (
+    STFT_BLOCK_FRAMES,
+    WINDOW_FUNCTIONS,
     StftParams,
     apply_filterbank,
     hz_to_mel,
+    make_window,
     mel_filterbank,
     mel_to_hz,
     stft,
 )
 
-from reference import naive_rdft
+from reference import naive_rdft, one_shot_stft
+
+BLOCK, HOP = STFT_BLOCK_FRAMES, StftParams.hop
 
 
 def stft_frame(frame):
@@ -104,6 +110,41 @@ class TestStft:
             StftParams(window="kaiser")
         with pytest.raises(ValueError):
             stft(AudioBuffer(np.zeros(0), 48000), StftParams())
+
+
+class TestBlockedStft:
+    """stft's frame blocks against every frame transformed in one call, bit for bit."""
+
+    # n samples give 1 + n // HOP frames.
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        window=st.sampled_from(WINDOW_FUNCTIONS),
+        n=st.one_of(
+            st.just(1),  # nothing to reflect: zero-padded
+            st.integers(2, (BLOCK - 1) * HOP - 1),  # fewer frames than one block
+            st.integers((BLOCK - 1) * HOP, BLOCK * HOP - 1),  # exactly one block
+            st.integers(BLOCK * HOP, (BLOCK + 1) * HOP - 1),  # one block plus one frame
+            st.integers(2 * BLOCK * HOP, 6 * BLOCK * HOP),  # many blocks
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(window="hann", n=1, seed=0)
+    @example(window="hamming", n=(BLOCK - 1) * HOP, seed=0)
+    @example(window="rectangular", n=BLOCK * HOP, seed=0)
+    @example(window="hann", n=4 * BLOCK * HOP - 1, seed=0)
+    def test_matches_one_shot_oracle(self, window, n, seed):
+        params = StftParams(window=window)
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        want = one_shot_stft(x, params.n_fft, params.hop, make_window(window, params.n_fft))
+        # Once with a helper idle to take blocks, once with every helper held.
+        for idle in (1, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(block_helpers, "idle", idle)
+                got = stft(AudioBuffer(x, 48000), params).values
+                assert block_helpers.idle == idle
+            assert np.array_equal(got, want), f"{n} samples, {idle} idle"
+            # The same layout too, so every later matrix product reads the same memory.
+            assert got.strides == want.strides
 
 
 class TestMelFilterbank:
