@@ -15,7 +15,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
-from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -288,12 +288,13 @@ def _faded_span(x: np.ndarray, ramp: np.ndarray, lo: int, hi: int) -> np.ndarray
 
 
 class BlockHelpers:
-    """Helper threads, one per core beyond the first, that share out resample's and stft's blocks.
+    """Helper threads, one per core beyond the first, that share out the blocks of run_blocks.
 
     The threads start on first use and are shared by the whole process. `idle`
     counts the helpers nobody holds: a caller that runs its own threads (the
-    CLI's --jobs pool) holds as many helpers as it keeps cores busy, and a call
-    started ahead (see `ahead`) holds one until it returns.
+    CLI's --jobs pool) holds as many helpers as it keeps cores busy, and a
+    run_blocks call holds each helper it submits a chunk to until that chunk
+    ends.
     """
 
     def __init__(self, helpers: int):
@@ -322,70 +323,41 @@ class BlockHelpers:
         finally:
             self._give_back(n)
 
-    def ahead(self, fn, *args):
-        """Start fn(*args) on an idle helper; returns its Ahead, or None when no helper is idle."""
-        return Ahead(self, partial(fn, *args)) if self._take(1) else None
-
-    def run_blocks(self, run, items: range):
+    def run_blocks(self, run, items):
         """Call run(chunk) on the calling thread and on idle helpers; the chunks cover `items` once.
 
-        Each chunk is an iterable that hands out the next item not yet taken
-        by any thread, so a helper that starts late or runs slowly only leaves
-        more items to the caller, and a helper that never starts (a busy pool,
-        or a forked child whose pool threads are gone) leaves them all. The
-        call returns, or re-raises, once every started chunk has finished.
+        The caller's chunk starts with items[0]; after that, each chunk is an
+        iterable that hands out the next item not yet taken by any thread, so
+        a helper that starts late or runs slowly only leaves more items to the
+        caller, and a helper that never starts (a busy pool, or a forked child
+        whose pool threads are gone) leaves them all. Each helper is idle again
+        as soon as its own chunk ends. The call returns, or re-raises, once
+        every started chunk has finished.
         """
-        with self.hold(len(items) - 1) as n:
-            # Every thread's chunk ends at its own None, queued after the last item.
-            todo = queue.SimpleQueue()
-            for item in [*items, *[None] * (n + 1)]:
-                todo.put(item)
-            futures = [self._pool.submit(run, iter(todo.get, None)) for _ in range(n)]
+        n = self._take(len(items) - 1)
+        # Every thread's chunk ends at its own None, queued after the last item.
+        todo = queue.SimpleQueue()
+        for item in [*items[1:], *[None] * (n + 1)]:
+            todo.put(item)
+
+        def helper_chunk():
             try:
                 run(iter(todo.get, None))
             finally:
-                # Only a started chunk can be waited for: a cancelled one is done
-                # only once a helper thread dequeues it, which may never happen.
-                started = [future for future in futures if not future.cancel()]
-                wait(started)
-            for future in started:
-                future.result()
+                self._give_back(1)
 
-
-class Ahead:
-    """One call running on a helper it holds (see BlockHelpers.ahead) until the call returns.
-
-    The helper is given back before the result can be taken, so a resample
-    that follows counts on it again. result() on a call that no helper has
-    started yet (a forked child's pool has no threads) cancels it and runs
-    it on the calling thread.
-    """
-
-    def __init__(self, helpers: BlockHelpers, call):
-        self._helpers = helpers
-        self._call = call
-        self._future = helpers._pool.submit(self._run)
-
-    def _run(self):
+        mine = chain(items[:1], iter(todo.get, None))  # items[0] is taken before any helper can start
+        futures = [self._pool.submit(helper_chunk) for _ in range(n)]
         try:
-            return self._call()
+            run(mine)
         finally:
-            self._helpers._give_back(1)
-
-    def _cancel(self) -> bool:
-        if not self._future.cancel():
-            return False
-        self._helpers._give_back(1)
-        return True
-
-    def result(self):
-        """The call's return value, or its exception raised here."""
-        return self._call() if self._cancel() else self._future.result()
-
-    def drop(self):
-        """Give the call up: returns once its helper is idle again; its result or error is discarded."""
-        if not self._cancel():
-            wait([self._future])
+            # Only a started chunk can be waited for: a cancelled one is done
+            # only once a helper thread dequeues it, which may never happen.
+            started = [future for future in futures if not future.cancel()]
+            self._give_back(n - len(started))
+            wait(started)
+        for future in started:
+            future.result()
 
 
 def _cores() -> int:

@@ -109,6 +109,11 @@ def apply_standardization(params: StandardizationParams, rows: np.ndarray) -> np
     return (np.asarray(rows, dtype=np.float64) - params.mean) / scale
 
 
+def _check_k(k: int, n_train: int):
+    if not 1 <= k <= n_train:
+        raise ValueError(f"k must be in [1, {n_train}], got {k}")
+
+
 def fit_knn(matrix: np.ndarray, labels, k: int) -> KnnModel:
     """Standardize the training rows and bundle them into a KNN model.
 
@@ -120,8 +125,7 @@ def fit_knn(matrix: np.ndarray, labels, k: int) -> KnnModel:
         raise ValueError(f"training matrix must be 2-D and non-empty, got shape {matrix.shape}")
     if len(labels) != matrix.shape[0]:
         raise ValueError(f"{matrix.shape[0]} rows but {len(labels)} labels")
-    if not 1 <= k <= matrix.shape[0]:
-        raise ValueError(f"k must be in [1, {matrix.shape[0]}], got {k}")
+    _check_k(k, matrix.shape[0])
     params = _column_stats(matrix)
     return KnnModel(k, apply_standardization(params, matrix), labels, params)
 
@@ -199,16 +203,30 @@ def evaluate_split(
     return _report(ds, test_idx, lambda i: model)
 
 
+def _loocv_train_rows(n: int) -> int:
+    if n < 2:
+        raise ValueError(f"need at least 2 tracks for leave-one-out, got {n}")
+    return n - 1
+
+
 def evaluate_loocv(
     ds: LabeledDataset, k: int = inspect.signature(evaluate_split).parameters["k"].default
 ) -> EvalReport:
     """Leave-one-out evaluation; standardization is refitted on every fold."""
     n = len(ds)
-    if n < 2:
-        raise ValueError(f"need at least 2 tracks for leave-one-out, got {n}")
+    _loocv_train_rows(n)
 
     def model_for(i):
         keep = np.arange(n) != i
         return fit_knn(ds.matrix[keep], ds.labels[keep], k)
 
     return _report(ds, range(n), model_for)
+
+
+def check_evaluation(labels: np.ndarray, protocol: str, k: int, test_fraction: float, seed: int):
+    """Raise the size error that evaluating a table with these labels would: the split needs no features."""
+    if protocol == "loocv":
+        n_train = _loocv_train_rows(len(labels))
+    else:
+        n_train = len(stratified_split(labels, test_fraction, seed)[0])
+    _check_k(k, n_train)

@@ -10,7 +10,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import PreprocessSpec, block_helpers, encode_wav
-from .classify import evaluate_loocv, evaluate_split
+from .classify import check_evaluation, evaluate_loocv, evaluate_split
 from .dataset import (
     FEATURE_FAMILIES,
     AnalysisSpec,
@@ -174,8 +173,8 @@ def _map_tracks(paths, worker, jobs):
         # The workers keep `jobs` cores busy; the resampler may spread only onto cores left over.
         with block_helpers.hold(jobs - 1), ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(lambda i: worker(i, None), range(len(paths))))
-    with closing(ReadAhead(paths)) as reader:
-        return [worker(i, reader) for i in range(len(paths))]
+    reader = ReadAhead(paths)
+    return [worker(i, reader) for i in range(len(paths))]
 
 
 def _write(out_dir: Path, name: str, text_or_bytes, produced: list) -> Path:
@@ -220,6 +219,9 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
             [rec.path for rec in records],
             names,
         )
+        if command in ("classify", "report"):
+            # The split needs only the labels: a k or test fraction it cannot meet fails before any track is read.
+            check_evaluation(ds.labels, args.protocol, args.k, args.test_fraction, args.seed)
 
         def analyze(i, reader):
             # Copy the row into the table: a row kept past its worker pins freed heap memory,

@@ -206,39 +206,49 @@ def load_track(path: Path) -> AudioBuffer:
 
 
 class ReadAhead:
-    """Loads a run's tracks, each next one on an idle block helper.
+    """Loads a run's tracks in `paths` order, each next one beside the analysis of the one before.
 
-    take(path) returns that file's decoded buffer: the load a helper started
-    for it, or one made here. Once the caller has preprocessed the track and
-    keeps nothing of its full-length arrays, advance(path) starts the track
-    that follows it in `paths` on an idle helper, if there is one, so that its
-    read and decode overlap the caller's analysis: the run holds at most one
-    track's file and decoded arrays beyond what it works on. A load error
-    comes out of the take() for its track, after every earlier track has
-    finished. close() gives up a load the run no longer needs.
+    take(path) returns the next track's decoded buffer: the load made beside
+    the track before, or one made here if there is none or it is of another
+    file. beside(path, call) returns call(), run here once the caller keeps
+    none of the track's full-length arrays, while an idle block helper, if
+    any, loads the next track; both finish before beside returns. A failed
+    load is raised by the take() for its track. The look-ahead goes by
+    position, so a file listed twice is loaded once per listing.
     """
 
     def __init__(self, paths):
-        self.following = dict(zip(paths, paths[1:]))
-        self.next = None  # (path, Ahead) of the load started ahead, if any
+        self.paths = paths
+        self.taken = 0  # tracks handed out so far
+        self.loaded = (None, None)  # (path, buffer or TrackError) loaded beside the last track
 
     def take(self, path: Path) -> AudioBuffer:
-        started, self.next = self.next, None
-        if started and started[0] == path:
-            return started[1].result()
-        if started:
-            started[1].drop()
-        return load_track(path)
+        (ahead, loaded), self.loaded = self.loaded, (None, None)
+        self.taken += 1
+        if ahead != path:
+            return load_track(path)
+        if isinstance(loaded, TrackError):
+            raise loaded
+        return loaded
 
-    def advance(self, path: Path):
-        after = self.following.get(path)
-        started = block_helpers.ahead(load_track, after) if after is not None else None
-        self.next = (after, started) if started else None
+    def beside(self, path: Path, call):
+        if not 0 < self.taken < len(self.paths) or self.paths[self.taken - 1] != path:
+            return call()  # out of step with `paths`, or the last track
+        ahead, results = self.paths[self.taken], {}
 
-    def close(self):
-        if self.next:
-            self.next[1].drop()
-            self.next = None
+        def run(chunk):
+            for item in chunk:
+                if item == 0:
+                    results[0] = call()
+                    continue
+                try:
+                    results[1] = load_track(ahead)
+                except TrackError as exc:  # raised on its own turn, by take()
+                    results[1] = exc
+
+        block_helpers.run_blocks(run, range(2))
+        self.loaded = (ahead, results[1])
+        return results[0]
 
 
 @functools.cache
@@ -274,19 +284,17 @@ def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last, reader
 
     Any failure is re-raised as TrackError carrying the track path and the
     pipeline stage that broke; `last_stage` names the stage `last` runs. With
-    a `reader`, the file comes from reader.take(path) and the track after it
-    starts loading while `last` runs. Once `last` returns, the heap it freed
-    goes back to the OS (release_free_heap).
+    a `reader`, the file comes from reader.take(path) and `last` runs beside
+    the load of the track after it (ReadAhead.beside). Once `last` returns,
+    the heap it freed goes back to the OS (release_free_heap).
     """
     buf = reader.take(path) if reader else load_track(path)
     stage = "preprocess"
     try:
         clip = preprocess(buf, pre)
         del buf  # the full-length track dies here, before the next one is loaded
-        if reader:
-            reader.advance(path)
         stage = last_stage
-        result = last(clip)
+        result = reader.beside(path, lambda: last(clip)) if reader else last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:
         raise TrackError(str(path), stage, exc) from exc
     del clip  # its pages go back too

@@ -38,6 +38,14 @@ from reference import (
     unblocked_resample,
 )
 
+
+class NeverRuns:
+    """A block helper pool whose threads never start, as in a forked child."""
+
+    def submit(self, fn, *args):
+        return Future()
+
+
 # 44.1 -> 48 kHz is one branch group, 44.1 -> 22.05 kHz has one branch (up = 1),
 # 32 -> 48 kHz has three, and 96 -> 44.1 kHz needs more than one group.
 RATE_PAIRS = [(44100, 48000), (22050, 48000), (44100, 22050), (32000, 48000), (96000, 44100)]
@@ -316,10 +324,6 @@ class TestResample:
                 assert audio_io.block_helpers.idle == helpers
 
     def test_finishes_when_no_helper_starts(self, monkeypatch):
-        class NeverRuns:
-            def submit(self, fn, *args):
-                return Future()
-
         monkeypatch.setattr(audio_io.block_helpers, "_pool", NeverRuns())
         monkeypatch.setattr(audio_io.block_helpers, "idle", 3)
         x = np.random.default_rng(4).standard_normal(5 * RESAMPLE_BLOCK_PERIODS * 147) * 0.3
@@ -348,56 +352,87 @@ class TestResample:
         assert [str(w.message) for w in caught] == []
         assert audio_io.block_helpers.idle == helpers
 
-    def test_ahead_gives_its_helper_back_before_the_result(self):
+    def test_caller_runs_the_first_item(self):
         helpers = audio_io.BlockHelpers(1)
+        threads, second_done = {}, threading.Event()
+
+        def run(chunk):
+            for item in chunk:
+                threads[item] = threading.current_thread()
+                if item == 0:
+                    assert second_done.wait(10)  # only a helper can take item 1 now
+                else:
+                    second_done.set()
+
         try:
-            release = threading.Event()
-            blocked = helpers.ahead(release.wait)
-            assert helpers.ahead(lambda: None) is None  # the one helper is held
-            release.set()
-            assert blocked.result() is True and helpers.idle == 1
-            seen, running = [], threading.Event()
-
-            def call(x):
-                seen.append(helpers.idle)
-                running.set()
-                return x + 1
-
-            started = helpers.ahead(call, 41)
-            assert running.wait(10)  # on the helper: result() would run a call not yet started itself
-            assert started.result() == 42 and helpers.idle == 1
-            assert seen == [0]  # held while the call ran
-            with pytest.raises(ZeroDivisionError):
-                helpers.ahead(lambda: 1 / 0).result()
-            assert helpers.idle == 1
+            helpers.run_blocks(run, range(2))
         finally:
             helpers._pool.shutdown()
+        assert threads[0] is threading.current_thread() and threads[1] is not threads[0]
 
-    def test_ahead_that_no_helper_starts_runs_on_the_caller_or_is_dropped(self):
-        class NeverRuns:
-            def submit(self, fn, *args):
-                return Future()
+    def test_helper_is_idle_again_while_the_caller_still_runs(self):
+        helpers = audio_io.BlockHelpers(1)
+        seen = []
 
+        def run(chunk):
+            for item in chunk:
+                if item == 0:
+                    deadline = time.monotonic() + 10
+                    while helpers.idle == 0 and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    seen.append(helpers.idle)
+
+        try:
+            helpers.run_blocks(run, range(2))
+        finally:
+            helpers._pool.shutdown()
+        assert seen == [1] and helpers.idle == 1
+
+    def test_pool_that_never_starts_leaves_every_item_to_the_caller_in_order(self):
         helpers = audio_io.BlockHelpers(1)
         helpers._pool = NeverRuns()
-        calls = []
-        started = helpers.ahead(calls.append, "caller")
-        assert helpers.idle == 0
-        assert started.result() is None and calls == ["caller"] and helpers.idle == 1
-        helpers.ahead(calls.append, "dropped").drop()
-        assert calls == ["caller"] and helpers.idle == 1
+        ran = []
+        helpers.run_blocks(lambda chunk: ran.extend((item, threading.current_thread()) for item in chunk), range(2))
+        assert ran == [(0, threading.current_thread()), (1, threading.current_thread())]
+        assert helpers.idle == 1
+
+    def test_caller_error_waits_for_a_started_helper_chunk_and_discards_it(self):
+        helpers = audio_io.BlockHelpers(1)
+        running, finished = threading.Event(), threading.Event()
+
+        def run(chunk):
+            for item in chunk:
+                if item == 0:
+                    assert running.wait(10)
+                    raise ZeroDivisionError
+                running.set()
+                time.sleep(0.05)  # still running when the caller fails
+                finished.set()
+                raise ValueError("discarded")
+
+        try:
+            with pytest.raises(ZeroDivisionError):
+                helpers.run_blocks(run, range(2))
+            assert finished.is_set() and helpers.idle == 1
+        finally:
+            helpers._pool.shutdown()
 
     def test_helper_count_survives_racing_callers(self):
         helpers = audio_io.BlockHelpers(2)
         seen = []
 
+        def run(chunk):
+            for item in chunk:
+                seen.append(helpers.idle)
+                if item == 2:
+                    raise ZeroDivisionError
+
         def caller(k):
             for i in range(200):
-                started = helpers.ahead(lambda: seen.append(helpers.idle))
-                if started and (i + k) % 3:
-                    started.result()
-                elif started:
-                    started.drop()
+                try:
+                    helpers.run_blocks(run, range(1 + (i + k) % 4))
+                except ZeroDivisionError:
+                    pass
                 with helpers.hold(1) as n:
                     seen.append(helpers.idle + n)
 
@@ -414,24 +449,6 @@ class TestResample:
             sys.setswitchinterval(interval)
             helpers._pool.shutdown()
         assert helpers.idle == 2 and seen and all(0 <= idle <= 2 for idle in seen)
-
-    def test_dropped_ahead_waits_for_its_call(self):
-        helpers = audio_io.BlockHelpers(1)
-        running, release = threading.Event(), threading.Event()
-
-        def call():
-            running.set()
-            release.wait(10)
-            raise ZeroDivisionError
-
-        try:
-            started = helpers.ahead(call)
-            assert running.wait(10)  # started, so drop() cannot cancel it
-            threading.Timer(0.05, release.set).start()
-            started.drop()  # the call's error is discarded
-            assert release.is_set() and helpers.idle == 1
-        finally:
-            helpers._pool.shutdown()
 
     @pytest.mark.parametrize("failing", ["caller", "helper"])
     def test_error_in_a_chunk_is_raised_and_helpers_given_back(self, failing):

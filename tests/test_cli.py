@@ -198,6 +198,72 @@ class TestExtractCommand:
         assert any(helper_loads)
         assert block_helpers.idle == 1
 
+    @pytest.mark.parametrize("idle", [0, 1])
+    def test_file_listed_twice_is_loaded_once_per_listing(self, small_corpus, tmp_path, monkeypatch, idle):
+        a, b, c = (small_corpus / rec.path for rec in load_manifest((small_corpus / "manifest.csv").read_text())[:3])
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,game,genre,title\n" + "".join(f"{p},g,action_rpg,t\n" for p in (a, b, a, c)))
+        loads, real_load, real_analyze = [], dataset.load_track, dataset.analyze_clip
+
+        def load(path):
+            loads.append((path, threading.current_thread() is threading.main_thread()))
+            return real_load(path)
+
+        def analyze(clip, spec):
+            # With a helper, wait for the next track's load to begin: only the helper can run it meanwhile.
+            k = len(analyzed)
+            analyzed.append(k)
+            deadline = time.monotonic() + 10
+            while idle and k < 3 and len(loads) < k + 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return real_analyze(clip, spec)
+
+        analyzed = []
+        monkeypatch.setattr(block_helpers, "idle", idle)
+        monkeypatch.setattr(dataset, "load_track", load)
+        monkeypatch.setattr(dataset, "analyze_clip", analyze)
+        assert cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
+        assert [path for path, _ in loads] == [a, b, a, c]
+        assert [on_main for _, on_main in loads] == [True] + [not idle] * 3
+        rows = (tmp_path / "o" / "features.csv").read_text().splitlines()
+        assert rows[1] == rows[3]
+        assert block_helpers.idle == idle
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "fails"])
+    @pytest.mark.parametrize("command", ["extract", "report", "preprocess"])
+    def test_no_helper_work_outlives_the_command(self, small_corpus, tmp_path, monkeypatch, command, fails):
+        # Two tracks of each genre, so that report's split and k=3 fit.
+        records = load_manifest((small_corpus / "manifest.csv").read_text())
+        rows = [(small_corpus / rec.path, genre.token) for genre in sorted({rec.genre for rec in records})
+                for rec in [rec for rec in records if rec.genre == genre][:2]]
+        if fails:
+            rows.insert(1, (tmp_path / "ghost.wav", rows[0][1]))  # loaded ahead beside the first track, and failing
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,game,genre,title\n" + "".join(f"{p},g,{genre},t\n" for p, genre in rows))
+        futures, real_pool, real_load = [], block_helpers._pool, dataset.load_track
+
+        class Recording:
+            def submit(self, fn, *args):
+                futures.append(real_pool.submit(fn, *args))
+                return futures[-1]
+
+        def slow_load(path):
+            time.sleep(0.02)  # still running when a quick last stage, such as preprocess's encode, is done
+            return real_load(path)
+
+        monkeypatch.setattr(block_helpers, "_pool", Recording())
+        monkeypatch.setattr(block_helpers, "helpers", 1)
+        monkeypatch.setattr(block_helpers, "idle", 1)
+        monkeypatch.setattr(dataset, "load_track", slow_load)
+        for jobs in ("1", "2"):
+            futures.clear()
+            rc = cli.main([command, "--manifest", str(manifest), "--out", str(tmp_path / jobs), "--jobs", jobs])
+            assert rc == (2 if fails else 0)
+            assert all(future.done() for future in futures)
+            assert block_helpers.idle == 1
+            if jobs == "1":
+                assert futures
+
     def test_truncated_extensible_fmt_is_a_data_error(self, tmp_path, capsys):
         fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 48000, 96000, 2, 16) + b"\x16\x00\x10\x00"
         # the fmt chunk declares 40 bytes, but the file ends after 20
@@ -567,6 +633,25 @@ class TestUsageErrors:
         assert rc == 1
         assert "--features" in capsys.readouterr().err
         assert not (out / "features.csv").exists()
+
+    # 9 tracks, 3 per genre: the default split trains on 6, each leave-one-out fold on 8.
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "100"], "k must be in [1, 6], got 100"),
+        (["--protocol", "loocv", "--k", "100"], "k must be in [1, 8], got 100"),
+        (["--test-fraction", "0.01"], "class adventure_rpg with 3 tracks cannot give 0 test and 3 train items"),
+    ], ids=["k", "loocv-k", "test-fraction"])
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_evaluation_size_errors_before_extraction(self, small_corpus, tmp_path, monkeypatch, capsys,
+                                                      command, flags, message):
+        def extract_track(*args):
+            raise AssertionError("a track was extracted")
+
+        monkeypatch.setattr(cli, "extract_track", extract_track)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_no_output_dir(self, small_corpus, monkeypatch, capsys):
         monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)

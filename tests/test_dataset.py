@@ -1,10 +1,10 @@
 import tracemalloc
-from contextlib import closing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vgmfeat import dataset
 from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, block_helpers, encode_wav
 from vgmfeat.dataset import (
     AnalysisSpec,
@@ -25,8 +25,16 @@ from vgmfeat.dataset import (
     write_genre_summary_csv,
 )
 from vgmfeat.errors import TrackError
-from vgmfeat.features import PITCH_CLASSES, FrameSeries, min_clip_samples, tempo_from_spectrogram
-from vgmfeat.spectral import StftParams, stft
+from vgmfeat.features import (
+    PITCH_CLASSES,
+    FrameSeries,
+    chroma,
+    mfcc,
+    min_clip_samples,
+    spectral_centroid,
+    tempo_from_spectrogram,
+)
+from vgmfeat.spectral import StftParams, apply_filterbank, mel_filterbank, stft
 from vgmfeat.synth import make_click_track, write_corpus
 
 from conftest import sine
@@ -127,23 +135,51 @@ class TestFeatureRow:
             assert feats[f"mfcc_range_{i}"] == ceps[i].max() - ceps[i].min()
 
 
+def analysis_clip():
+    """15 s at 48 kHz of clicks over a tone, and the bytes of its magnitude spectrogram."""
+    clip = make_click_track(120.0, 15.0, 48000, rng=np.random.default_rng(21))
+    clip = AudioBuffer(clip.samples + sine(330.0, 15.0, 48000, 0.05), 48000)
+    return clip, (1 + len(clip.samples) // StftParams.hop) * (StftParams.n_fft // 2 + 1) * 8
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees during call(); numpy reports its buffers to tracemalloc."""
+    call()  # first-call caches, such as the FFT plan, are not part of the bound
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAnalysisMemory:
     @pytest.mark.parametrize("idle", [0, 1])
     def test_peak_stays_within_three_and_a_half_magnitudes(self, idle, monkeypatch):
-        # numpy reports its buffers to tracemalloc, so the peak counts every array analyze_clip
-        # makes. The magnitude, its power and the onset flux are the full-size arrays it needs.
-        clip = make_click_track(120.0, 15.0, 48000, rng=np.random.default_rng(21))
-        clip = AudioBuffer(clip.samples + sine(330.0, 15.0, 48000, 0.05), 48000)
-        mag_bytes = (1 + len(clip.samples) // StftParams.hop) * (StftParams.n_fft // 2 + 1) * 8
+        # The magnitude, its power and the onset flux are the full-size arrays analyze_clip needs.
+        clip, mag_bytes = analysis_clip()
         monkeypatch.setattr(block_helpers, "idle", idle)
-        analyze_clip(clip)  # first-call caches, such as the FFT plan, are not part of the bound
-        tracemalloc.start()
-        try:
-            analyze_clip(clip)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: analyze_clip(clip))
         assert peak <= 3.5 * mag_bytes, f"{peak / mag_bytes:.2f} magnitudes"
+
+    # Each extractor's own peak, measured at 0.041 (chroma), 0.004 (centroid), 1.0004
+    # (tempo: the onset flux) and 0.376 (mel bands plus MFCC) magnitudes. Each bound sits a
+    # quarter magnitude above, so a full-size copy of the spectrogram (one magnitude) shows.
+    @pytest.mark.parametrize("extractor, bound", [
+        ("chroma", 0.25), ("spectral_centroid", 0.25), ("tempo_from_spectrogram", 1.25), ("mel_mfcc", 0.625),
+    ])
+    def test_each_extractor_stays_within_its_own_bound(self, extractor, bound):
+        clip, mag_bytes = analysis_clip()
+        mag = stft(clip, StftParams())
+        power = mag.to_power()
+        calls = {
+            "chroma": lambda: chroma(power),
+            "spectral_centroid": lambda: spectral_centroid(mag),
+            "tempo_from_spectrogram": lambda: tempo_from_spectrogram(mag),
+            "mel_mfcc": lambda: mfcc(apply_filterbank(power, mel_filterbank(48000, StftParams.n_fft, 128)), 13),
+        }
+        peak = traced_peak(calls[extractor])
+        assert peak <= bound * mag_bytes, f"{peak / mag_bytes:.3f} magnitudes"
 
 
 class TestMinClipSamples:
@@ -212,19 +248,38 @@ class TestExtractTrack:
         paths = [tmp_path / f"{k}.wav" for k in range(3)]
         for k, path in enumerate(paths):
             path.write_bytes(encode_wav(AudioBuffer(np.full(100, k / 4), 8000 + k), "pcm16"))
+        loads, real_load = [], dataset.load_track
+        monkeypatch.setattr(dataset, "load_track", lambda path: loads.append(path) or real_load(path))
         monkeypatch.setattr(block_helpers, "idle", 1)
-        with closing(ReadAhead(paths)) as reader:
-            assert reader.take(paths[0]).sample_rate_hz == 8000
-            reader.advance(paths[0])
-            assert reader.next[0] == paths[1]
-            # Asked for another track, it gives up the load ahead and loads that one itself.
-            assert reader.take(paths[2]).sample_rate_hz == 8002
-            assert reader.next is None and block_helpers.idle == 1
-            reader.advance(paths[2])  # nothing follows the last track
-            assert reader.next is None
-            reader.advance(paths[1])
-            assert reader.take(paths[2]).sample_rate_hz == 8002
-        assert reader.next is None and block_helpers.idle == 1
+        reader = ReadAhead(paths)
+        assert reader.take(paths[0]).sample_rate_hz == 8000
+        assert reader.beside(paths[0], lambda: "analyzed") == "analyzed"
+        assert loads == paths[:2] and block_helpers.idle == 1
+        # Asked for another track, it gives up the load ahead and loads that one itself.
+        assert reader.take(paths[2]).sample_rate_hz == 8002 and loads == paths
+        # Out of step with `paths`, it loads nothing beside the call.
+        assert reader.beside(paths[2], lambda: 7) == 7 and loads == paths
+
+        loads.clear()
+        reader = ReadAhead(paths)
+        for k, path in enumerate(paths):
+            assert reader.take(path).sample_rate_hz == 8000 + k
+            reader.beside(path, lambda: None)
+        assert loads == paths  # each once, and nothing after the last track
+        assert block_helpers.idle == 1
+
+    def test_failed_load_ahead_is_raised_on_its_turn(self, tmp_path, monkeypatch):
+        good = tmp_path / "good.wav"
+        good.write_bytes(encode_wav(AudioBuffer(np.full(100, 0.25), 8000), "pcm16"))
+        paths = [good, tmp_path / "ghost.wav", good]
+        monkeypatch.setattr(block_helpers, "idle", 1)
+        reader = ReadAhead(paths)
+        reader.take(good)
+        assert reader.beside(good, lambda: "first track done") == "first track done"
+        with pytest.raises(TrackError) as err:
+            reader.take(paths[1])
+        assert "ghost.wav" in str(err.value) and err.value.stage == "read"
+        assert block_helpers.idle == 1
 
 class TestSummarizeByGenre:
     def test_single_track_per_genre(self):
