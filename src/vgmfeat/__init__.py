@@ -4,7 +4,7 @@ import os
 
 # One BLAS thread fixes the summation order of every matrix product, so output
 # bits do not depend on the machine; per-track workers (--jobs) are the
-# parallelism, with the resampler's and the STFT's block helpers on cores --jobs leaves idle.
+# parallelism, with block helpers, one per core beyond the first, taking resampler blocks.
 # This must run before the submodules below import numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"

@@ -11,9 +11,7 @@ import os
 import queue
 import struct
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
 from itertools import chain
 
@@ -290,71 +288,41 @@ def _faded_span(x: np.ndarray, ramp: np.ndarray, lo: int, hi: int) -> np.ndarray
 class BlockHelpers:
     """Helper threads, one per core beyond the first, that share out the blocks of run_blocks.
 
-    The threads start on first use and are shared by the whole process. `idle`
-    counts the helpers nobody holds: a caller that runs its own threads (the
-    CLI's --jobs pool) holds as many helpers as it keeps cores busy, and a
-    run_blocks call holds each helper it submits a chunk to until that chunk
-    ends.
+    The threads start on first use and are shared by the whole process: every
+    run_blocks call, from any track's thread, offers its blocks to all
+    `helpers` of them, and a helper that is busy elsewhere leaves its share to
+    the caller.
     """
 
     def __init__(self, helpers: int):
         self.helpers = helpers
-        self.idle = helpers
-        self._lock = threading.Lock()
         # A ThreadPoolExecutor starts its threads on the first submit, not here.
         self._pool = ThreadPoolExecutor(max(1, helpers), thread_name_prefix="vgmfeat-blocks")
 
-    def _take(self, n: int) -> int:
-        with self._lock:
-            n = max(0, min(n, self.idle))
-            self.idle -= n
-        return n
-
-    def _give_back(self, n: int):
-        with self._lock:
-            self.idle += n
-
-    @contextmanager
-    def hold(self, n: int):
-        """Take up to n idle helpers for the duration of the block; yields how many."""
-        n = self._take(n)
-        try:
-            yield n
-        finally:
-            self._give_back(n)
-
     def run_blocks(self, run, items):
-        """Call run(chunk) on the calling thread and on idle helpers; the chunks cover `items` once.
+        """Call run(chunk) on the calling thread and on helpers; the chunks cover `items` once.
 
         The caller's chunk starts with items[0]; after that, each chunk is an
         iterable that hands out the next item not yet taken by any thread, so
         a helper that starts late or runs slowly only leaves more items to the
-        caller, and a helper that never starts (a busy pool, or a forked child
-        whose pool threads are gone) leaves them all. Each helper is idle again
-        as soon as its own chunk ends. The call returns, or re-raises, once
-        every started chunk has finished.
+        caller, and a helper that never starts (busy with another call's
+        chunk, or a forked child's pool whose threads are gone) leaves them
+        all. The call returns, or re-raises, once every started chunk has
+        finished; a chunk no helper has started by then is cancelled.
         """
-        n = self._take(len(items) - 1)
+        n = max(0, min(self.helpers, len(items) - 1))
         # Every thread's chunk ends at its own None, queued after the last item.
         todo = queue.SimpleQueue()
         for item in [*items[1:], *[None] * (n + 1)]:
             todo.put(item)
-
-        def helper_chunk():
-            try:
-                run(iter(todo.get, None))
-            finally:
-                self._give_back(1)
-
         mine = chain(items[:1], iter(todo.get, None))  # items[0] is taken before any helper can start
-        futures = [self._pool.submit(helper_chunk) for _ in range(n)]
+        futures = [self._pool.submit(run, iter(todo.get, None)) for _ in range(n)]
         try:
             run(mine)
         finally:
             # Only a started chunk can be waited for: a cancelled one is done
             # only once a helper thread dequeues it, which may never happen.
             started = [future for future in futures if not future.cancel()]
-            self._give_back(n - len(started))
             wait(started)
         for future in started:
             future.result()
@@ -379,9 +347,10 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     zero-padded and its first and last RESAMPLE_FADE_SAMPLES samples are
     tapered with a raised cosine. Each block of RESAMPLE_BLOCK_PERIODS output
     periods is one matrix product per branch group (see _branch_groups),
-    on a block grid that does not depend on the input length. Idle
-    block_helpers threads share the blocks out; each block writes only its
-    own output rows, so the bits do not depend on which thread computed it.
+    on a block grid that does not depend on the input length. The calling
+    thread and the free block_helpers threads share the blocks out; each
+    block writes only its own output rows, so the bits do not depend on which
+    thread computed it.
     Each block's output is checked for NaN or Inf (a finite input near the
     float range can overflow the filter) while it is still in cache.
 

@@ -7,6 +7,7 @@ produced files; reruns with the same inputs and flags are byte-identical.
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import PreprocessSpec, block_helpers, encode_wav
+from .audio_io import PreprocessSpec, encode_wav
 from .classify import check_evaluation, evaluate_loocv, evaluate_split
 from .dataset import (
     FEATURE_FAMILIES,
@@ -26,6 +27,7 @@ from .dataset import (
     extract_track,
     feature_names,
     feature_table_json,
+    fs_name,
     frame_series_csv,
     load_manifest,
     process_track,
@@ -70,6 +72,7 @@ def _checked(convert, ok, rule):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _open_unit = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 _families = _checked(
     lambda text: [f.strip() for f in text.split(",") if f.strip()],
@@ -98,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analysis sample rate (default %(default)s)")
         p.add_argument("--pad-short", action="store_true", help="zero-pad tracks shorter than the clip")
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="tracks processed concurrently; cores left over split each track's resampling "
-                            "and STFT blocks, and with 1 job an idle core reads and decodes the next track, "
-                            "one track ahead, while this one is analyzed (default %(default)s)")
+                       help="tracks processed concurrently; a helper thread per core beyond the first takes "
+                            "resampling blocks from any track, and with 1 job also reads and decodes the next "
+                            "track, one track ahead, while this one is analyzed (default %(default)s)")
 
     def add_analysis(p):
         p.add_argument("--n-fft", type=int, default=StftParams.n_fft, help="FFT frame length (default %(default)s)")
@@ -149,15 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-corpus", argument_default=argparse.SUPPRESS)
     p.add_argument("--out", default=os.environ.get(OUT_DIR_ENV), help="corpus directory")
     p.add_argument("--seed", type=int)
-    p.add_argument("--games-per-genre", type=int)
-    p.add_argument("--tracks-per-game", type=int)
-    p.add_argument("--duration", dest="duration_s", type=float, help="track length in seconds")
-    p.add_argument("--sample-rate", dest="sample_rate_hz", type=int)
+    p.add_argument("--games-per-genre", type=_positive_int)
+    p.add_argument("--tracks-per-game", type=_positive_int)
+    p.add_argument("--duration", dest="duration_s", type=_positive_finite, help="track length in seconds")
+    p.add_argument("--sample-rate", dest="sample_rate_hz", type=_positive_int)
     return parser
 
 
 def _load_records(manifest_path):
-    records = load_manifest(Path(manifest_path).read_text())
+    records = load_manifest(Path(manifest_path).read_text(encoding="utf-8-sig"))
     return records, str(Path(manifest_path).parent)
 
 
@@ -165,25 +168,24 @@ def _map_tracks(paths, worker, jobs):
     """worker(i, reader) for every track i, results in track order.
 
     With one job the tracks run in order on this thread, and `reader` (a
-    ReadAhead) loads each next track on an idle core; with more, each worker
+    ReadAhead) loads each next track on a block helper; with more, each worker
     thread loads its own tracks and `reader` is None.
     """
     jobs = min(jobs, len(paths))
     if jobs > 1:
-        # The workers keep `jobs` cores busy; the resampler may spread only onto cores left over.
-        with block_helpers.hold(jobs - 1), ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(lambda i: worker(i, None), range(len(paths))))
     reader = ReadAhead(paths)
     return [worker(i, reader) for i in range(len(paths))]
 
 
 def _write(out_dir: Path, name: str, text_or_bytes, produced: list) -> Path:
-    path = out_dir / name
+    path = out_dir / fs_name(name)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(text_or_bytes, bytes):
         path.write_bytes(text_or_bytes)
     else:
-        path.write_text(text_or_bytes)
+        path.write_text(text_or_bytes, encoding="utf-8", newline="\n")
     produced.append(name)
     return path
 
@@ -205,7 +207,7 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
     """extract, summarize, classify and report: one extraction pass, then each command's outputs."""
     command = args.command
     if command == "classify" and args.features_csv:
-        table = Path(args.features_csv).read_text()
+        table = Path(args.features_csv).read_text(encoding="utf-8-sig")
     else:
         # Only the commands that write series keep them, and as rendered CSV text: each
         # worker thread renders its track's series, so the arrays die in the worker, and
@@ -266,7 +268,15 @@ def main(argv=None) -> int:
 
     if args.command == "synth-corpus":
         opts = {name: value for name, value in vars(args).items() if name not in ("command", "out")}
-        print(f"wrote {synth.write_corpus(args.out, **opts)}")
+        try:
+            manifest = synth.write_corpus(args.out, **opts)
+        except ValueError as exc:  # a duration shorter than one sample
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except OSError as exc:
+            print(f"error [{args.command}]: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        print(f"wrote {manifest}")
         return EXIT_OK
 
     if args.manifest is None and not args.features_csv:
@@ -295,21 +305,21 @@ def main(argv=None) -> int:
             return EXIT_USAGE
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     produced: list = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "preprocess":
             _run_preprocess(args, pre, out_dir, produced)
         else:
             _run_analysis(args, pre, spec, out_dir, produced)
+        manifest = json.dumps({"command": args.command, "files": produced}, indent=2) + "\n"
+        _write(out_dir, "run_manifest.json", manifest, produced)
     except (VgmfeatError, OSError, ValueError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    manifest = {"command": args.command, "files": produced}
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    for name in produced + ["run_manifest.json"]:
-        print(f"wrote {out_dir / name}")
+    for name in produced:
+        print(f"wrote {out_dir / fs_name(name)}")
     return EXIT_OK
 
 

@@ -5,6 +5,7 @@ import enum
 import functools
 import io
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,9 +189,20 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     return row, series
 
 
+def fs_name(name: str) -> str:
+    """The str that opens the file whose name is the UTF-8 bytes of `name`.
+
+    Manifests are UTF-8, and so are the file names they list and the names of
+    the files written from them. This is `name` itself where the filesystem
+    encoding is UTF-8; elsewhere (LC_ALL=C without Python's UTF-8 mode) the
+    non-ASCII bytes pass through as surrogate escapes.
+    """
+    return os.fsdecode(name.encode("utf-8", "surrogateescape"))
+
+
 def track_path(rec: TrackRecord, base_dir: str | None = None) -> Path:
-    """The record's file; relative paths resolve against base_dir when given."""
-    path = Path(rec.path)
+    """The record's file (see fs_name); relative paths resolve against base_dir when given."""
+    path = Path(fs_name(rec.path))
     return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
 
 
@@ -211,8 +223,8 @@ class ReadAhead:
     take(path) returns the next track's decoded buffer: the load made beside
     the track before, or one made here if there is none or it is of another
     file. beside(path, call) returns call(), run here once the caller keeps
-    none of the track's full-length arrays, while an idle block helper, if
-    any, loads the next track; both finish before beside returns. A failed
+    none of the track's full-length arrays, while a block helper, if one is
+    free, loads the next track; both finish before beside returns. A failed
     load is raised by the take() for its track. The look-ahead goes by
     position, so a file listed twice is loaded once per listing.
     """

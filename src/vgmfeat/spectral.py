@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer, block_helpers
+from .audio_io import AudioBuffer
 
 MEL_HIGH_FREQUENCY_Q = 2595.0
 MEL_BREAK_FREQUENCY_HZ = 700.0
@@ -77,10 +77,9 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
     test suite pins single frames against a direct O(n^2) DFT. Use
     Spectrogram.to_power() for |X[k]|^2.
 
-    The magnitude is one frames x bins array, returned transposed. Its blocks
-    of STFT_BLOCK_FRAMES frames are windowed into per-thread scratch and
-    transformed by the calling thread and idle block_helpers threads; each
-    block writes only its own rows.
+    The magnitude is one frames x bins array, returned transposed. It is
+    filled on the calling thread in blocks of STFT_BLOCK_FRAMES frames, each
+    windowed into one reused scratch array, so no full-size temporary is made.
     """
     x = buf.samples
     if len(x) == 0:
@@ -91,15 +90,11 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
     frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
     window = make_window(params.window, n_fft)
     mag = np.empty((n_frames, n_fft // 2 + 1))
-
-    def run(block_starts):
-        windowed = np.empty((min(STFT_BLOCK_FRAMES, n_frames), n_fft))
-        for f0 in block_starts:
-            f1 = min(f0 + STFT_BLOCK_FRAMES, n_frames)
-            block = np.multiply(frames[f0:f1], window, out=windowed[: f1 - f0])
-            np.abs(np.fft.rfft(block, axis=1), out=mag[f0:f1])
-
-    block_helpers.run_blocks(run, range(0, n_frames, STFT_BLOCK_FRAMES))
+    windowed = np.empty((min(STFT_BLOCK_FRAMES, n_frames), n_fft))
+    for f0 in range(0, n_frames, STFT_BLOCK_FRAMES):
+        f1 = min(f0 + STFT_BLOCK_FRAMES, n_frames)
+        block = np.multiply(frames[f0:f1], window, out=windowed[: f1 - f0])
+        np.abs(np.fft.rfft(block, axis=1), out=mag[f0:f1])
     return Spectrogram(mag.T, params, buf.sample_rate_hz, "magnitude")
 
 

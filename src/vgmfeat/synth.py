@@ -82,6 +82,8 @@ def write_corpus(
     The default shape is 3 genres x 3 games x 3 tracks = 27 files. Paths in
     the manifest are relative to the output directory.
     """
+    if round(duration_s * sample_rate_hz) < 1:
+        raise ValueError(f"duration_s {duration_s} gives no sample at {sample_rate_hz} Hz")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -97,5 +99,5 @@ def write_corpus(
                 records.append(TrackRecord(name, game, genre, f"theme {track_no} ({bpm:.0f} bpm)"))
 
     manifest = out_dir / "manifest.csv"
-    manifest.write_text(write_manifest(records))
+    manifest.write_text(write_manifest(records), encoding="utf-8", newline="\n")
     return manifest

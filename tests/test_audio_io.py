@@ -46,6 +46,26 @@ class NeverRuns:
         return Future()
 
 
+def a_helper_takes_the_second_item(helpers):
+    """True when run_blocks(range(2)) runs item 0 on the caller and item 1 on a helper.
+
+    The caller holds item 0 until item 1 is done, so only a free helper
+    thread can finish the call.
+    """
+    threads, second_done = {}, threading.Event()
+
+    def run(chunk):
+        for item in chunk:
+            threads[item] = threading.current_thread()
+            if item == 0:
+                assert second_done.wait(10)  # only a helper can take item 1 now
+            else:
+                second_done.set()
+
+    helpers.run_blocks(run, range(2))
+    return threads[0] is threading.current_thread() and threads[1] is not threads[0]
+
+
 # 44.1 -> 48 kHz is one branch group, 44.1 -> 22.05 kHz has one branch (up = 1),
 # 32 -> 48 kHz has three, and 96 -> 44.1 kHz needs more than one group.
 RATE_PAIRS = [(44100, 48000), (22050, 48000), (44100, 22050), (32000, 48000), (96000, 44100)]
@@ -318,14 +338,13 @@ class TestResample:
             # Three helpers are more than the pool has threads on a 2-core machine,
             # so the caller also runs chunks it submitted that no helper started.
             for helpers in (0, 1, 3):
-                monkeypatch.setattr(audio_io.block_helpers, "idle", helpers)
+                monkeypatch.setattr(audio_io.block_helpers, "helpers", helpers)
                 got = resample(AudioBuffer(x[:n], src), dst).samples
                 assert np.array_equal(got, want), f"{n} samples, {helpers} helpers"
-                assert audio_io.block_helpers.idle == helpers
 
     def test_finishes_when_no_helper_starts(self, monkeypatch):
         monkeypatch.setattr(audio_io.block_helpers, "_pool", NeverRuns())
-        monkeypatch.setattr(audio_io.block_helpers, "idle", 3)
+        monkeypatch.setattr(audio_io.block_helpers, "helpers", 3)
         x = np.random.default_rng(4).standard_normal(5 * RESAMPLE_BLOCK_PERIODS * 147) * 0.3
         got = []
         # On a separate thread, so a wait on a chunk that never starts fails the test instead of hanging it.
@@ -335,7 +354,6 @@ class TestResample:
         worker.join(timeout=60)
         assert not worker.is_alive(), "resample waited on a chunk no helper started"
         assert np.array_equal(got[0], padded_gemm(x, 44100, 48000))
-        assert audio_io.block_helpers.idle == 3
 
     # Alternating +-1.7e308 is finite, but sits at the input Nyquist, where the taps
     # of every branch add up in magnitude: the filter overflows to Inf.
@@ -343,50 +361,20 @@ class TestResample:
     def test_overflowing_filter_is_rejected(self, helpers, monkeypatch):
         x = np.full(3 * RESAMPLE_BLOCK_PERIODS * 147, 1.7e308)
         x[1::2] *= -1
-        monkeypatch.setattr(audio_io.block_helpers, "idle", helpers)
+        monkeypatch.setattr(audio_io.block_helpers, "helpers", helpers)
         # The error is the only report: no numpy warning, from this thread or from a helper.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="samples contain NaN or Inf"):
                 resample(AudioBuffer(x, 44100), 48000)
         assert [str(w.message) for w in caught] == []
-        assert audio_io.block_helpers.idle == helpers
 
     def test_caller_runs_the_first_item(self):
         helpers = audio_io.BlockHelpers(1)
-        threads, second_done = {}, threading.Event()
-
-        def run(chunk):
-            for item in chunk:
-                threads[item] = threading.current_thread()
-                if item == 0:
-                    assert second_done.wait(10)  # only a helper can take item 1 now
-                else:
-                    second_done.set()
-
         try:
-            helpers.run_blocks(run, range(2))
+            assert a_helper_takes_the_second_item(helpers)
         finally:
             helpers._pool.shutdown()
-        assert threads[0] is threading.current_thread() and threads[1] is not threads[0]
-
-    def test_helper_is_idle_again_while_the_caller_still_runs(self):
-        helpers = audio_io.BlockHelpers(1)
-        seen = []
-
-        def run(chunk):
-            for item in chunk:
-                if item == 0:
-                    deadline = time.monotonic() + 10
-                    while helpers.idle == 0 and time.monotonic() < deadline:
-                        time.sleep(0.001)
-                    seen.append(helpers.idle)
-
-        try:
-            helpers.run_blocks(run, range(2))
-        finally:
-            helpers._pool.shutdown()
-        assert seen == [1] and helpers.idle == 1
 
     def test_pool_that_never_starts_leaves_every_item_to_the_caller_in_order(self):
         helpers = audio_io.BlockHelpers(1)
@@ -394,7 +382,6 @@ class TestResample:
         ran = []
         helpers.run_blocks(lambda chunk: ran.extend((item, threading.current_thread()) for item in chunk), range(2))
         assert ran == [(0, threading.current_thread()), (1, threading.current_thread())]
-        assert helpers.idle == 1
 
     def test_caller_error_waits_for_a_started_helper_chunk_and_discards_it(self):
         helpers = audio_io.BlockHelpers(1)
@@ -413,29 +400,39 @@ class TestResample:
         try:
             with pytest.raises(ZeroDivisionError):
                 helpers.run_blocks(run, range(2))
-            assert finished.is_set() and helpers.idle == 1
+            assert finished.is_set()
         finally:
             helpers._pool.shutdown()
 
     def test_helper_count_survives_racing_callers(self):
         helpers = audio_io.BlockHelpers(2)
-        seen = []
+        real_pool, futures, wrong = helpers._pool, [], []
 
-        def run(chunk):
-            for item in chunk:
-                seen.append(helpers.idle)
-                if item == 2:
-                    raise ZeroDivisionError
+        class Recording:
+            def submit(self, fn, *args):
+                futures.append(real_pool.submit(fn, *args))
+                return futures[-1]
 
         def caller(k):
             for i in range(200):
-                try:
-                    helpers.run_blocks(run, range(1 + (i + k) % 4))
-                except ZeroDivisionError:
-                    pass
-                with helpers.hold(1) as n:
-                    seen.append(helpers.idle + n)
+                items, ran = range(1 + (i + k) % 4), []
 
+                def run(chunk):
+                    for item in chunk:
+                        ran.append(item)
+                        if item == 2:
+                            raise ZeroDivisionError
+
+                # A call returns having run every item once, or raises the one error.
+                try:
+                    helpers.run_blocks(run, items)
+                    if sorted(ran) != list(items) or 2 in items:
+                        wrong.append((items, ran))
+                except ZeroDivisionError:
+                    if 2 not in items:
+                        wrong.append((items, ran))
+
+        helpers._pool = Recording()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -445,10 +442,13 @@ class TestResample:
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
+            assert wrong == []
+            assert futures and all(future.done() for future in futures)
+            helpers._pool = real_pool
+            assert a_helper_takes_the_second_item(helpers)
         finally:
             sys.setswitchinterval(interval)
-            helpers._pool.shutdown()
-        assert helpers.idle == 2 and seen and all(0 <= idle <= 2 for idle in seen)
+            real_pool.shutdown()
 
     @pytest.mark.parametrize("failing", ["caller", "helper"])
     def test_error_in_a_chunk_is_raised_and_helpers_given_back(self, failing):
@@ -465,7 +465,7 @@ class TestResample:
         try:
             with pytest.raises(ValueError, match=failing):
                 helpers.run_blocks(run, range(40))
-            assert helpers.idle == 2
+            assert a_helper_takes_the_second_item(helpers)
         finally:
             helpers._pool.shutdown()
 

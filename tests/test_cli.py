@@ -16,7 +16,7 @@ import pytest
 
 from vgmfeat import audio_io, cli, dataset
 from vgmfeat.audio_io import block_helpers, decode_wav
-from vgmfeat.dataset import feature_names, load_manifest, read_feature_table_csv
+from vgmfeat.dataset import feature_names, fs_name, load_manifest, read_feature_table_csv
 from vgmfeat.synth import write_corpus
 
 
@@ -53,6 +53,22 @@ class TestSynthCorpus:
             ) == 0
         for wav in a.glob("*.wav"):
             assert wav.read_bytes() == (b / wav.name).read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--duration", "-1", "--duration: must be positive and finite"),
+        ("--duration", "0", "--duration: must be positive and finite"),
+        ("--duration", "nan", "--duration: must be positive and finite"),
+        ("--duration", "inf", "--duration: must be positive and finite"),
+        ("--duration", "1e-9", "duration_s 1e-09 gives no sample at 44100 Hz"),
+        ("--sample-rate", "0", "--sample-rate: must be >= 1"),
+        ("--games-per-genre", "0", "--games-per-genre: must be >= 1"),
+        ("--tracks-per-game", "-2", "--tracks-per-game: must be >= 1"),
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "corpus"
+        assert cli.main(["synth-corpus", "--out", str(out), f"{flag}={value}"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPreprocessCommand:
@@ -109,17 +125,13 @@ class TestExtractCommand:
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path,game,genre,title\n{small_corpus / track.path},g,action_rpg,t\n"
                             "ghost.wav,g,action_rpg,t\n")
-        # Three helpers on any host, more than --jobs 2 should hold, so that a wrong count held shows;
-        # --jobs 1 has one for the missing second track's load ahead. Fewer pool threads only queue.
-        monkeypatch.setattr(block_helpers, "helpers", 3)
-        monkeypatch.setattr(block_helpers, "idle", 3)
-        seen, real_extract, real_load = [], cli.extract_track, dataset.load_track
+        futures, real_pool, real_load = [], block_helpers._pool, dataset.load_track
         ghost_tried = threading.Event()
 
-        def spy(*args):
-            seen.append(block_helpers.idle)
-            started.wait(10)  # each worker counts before any resamples and holds helpers of its own
-            return real_extract(*args)
+        class Recording:
+            def submit(self, fn, *args):
+                futures.append(real_pool.submit(fn, *args))
+                return futures[-1]
 
         def load(path):
             if path.name == "ghost.wav":
@@ -132,28 +144,27 @@ class TestExtractCommand:
             assert ghost_tried.wait(10)
             raise ValueError("boom")
 
-        monkeypatch.setattr(cli, "extract_track", spy)
+        # Three helpers on any host, more than the pool may have threads: chunks no thread starts only queue.
+        monkeypatch.setattr(block_helpers, "helpers", 3)
+        monkeypatch.setattr(block_helpers, "_pool", Recording())
         monkeypatch.setattr(dataset, "load_track", load)
         monkeypatch.setattr(dataset, "analyze_clip", analyze_fails)
         for jobs in (1, 2):
-            seen.clear()
+            futures.clear()
             ghost_tried.clear()
-            started = threading.Barrier(jobs)
             rc = cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--jobs", str(jobs)])
             assert rc == 2
             # The first track's error, in manifest order, whichever failed first.
             assert capsys.readouterr().err == f"error [extract]: {small_corpus / track.path}: analyze: boom\n"
-            # Two workers keep two cores busy while the pool runs; one job holds nothing while it
-            # analyzes. Every helper is idle again afterwards, the load ahead included.
-            assert seen == [block_helpers.helpers - (jobs - 1)] * jobs, jobs
-            assert block_helpers.idle == block_helpers.helpers, jobs
+            # Every chunk offered to a helper, the load ahead included, has ended or was cancelled.
+            assert futures and all(future.done() for future in futures), jobs
 
     @pytest.mark.parametrize("command", ["report", "preprocess"])
     def test_loading_ahead_does_not_change_output(self, small_corpus, tmp_path, monkeypatch, command):
         outs = []
-        for idle in (0, 1):
-            monkeypatch.setattr(block_helpers, "idle", idle)
-            out = tmp_path / f"idle{idle}"
+        for helpers in (0, 1):
+            monkeypatch.setattr(block_helpers, "helpers", helpers)
+            out = tmp_path / f"helpers{helpers}"
             assert cli.main([command, "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out)]) == 0
             outs.append({name: (out / name).read_bytes() for name in declared_files(out)})
         assert len(outs[0]) == (5 + 9 * 5 if command == "report" else 9 + 1)
@@ -185,7 +196,7 @@ class TestExtractCommand:
             events.append(("preprocessed", sum(event == "preprocessed" for event, _ in events)))
             return clip
 
-        monkeypatch.setattr(block_helpers, "idle", 1)
+        monkeypatch.setattr(block_helpers, "helpers", 1)
         monkeypatch.setattr(dataset, "decode_wav", decode)
         monkeypatch.setattr(dataset, "preprocess", preprocess)
         monkeypatch.setattr(audio_io, "resample", resample)
@@ -196,10 +207,9 @@ class TestExtractCommand:
         assert [freed for event, freed in events if event == "previous track freed"] == [True] * 8
         # Each later track is loaded on the helper, unless the helper had not started when it was needed.
         assert any(helper_loads)
-        assert block_helpers.idle == 1
 
-    @pytest.mark.parametrize("idle", [0, 1])
-    def test_file_listed_twice_is_loaded_once_per_listing(self, small_corpus, tmp_path, monkeypatch, idle):
+    @pytest.mark.parametrize("helpers", [0, 1])
+    def test_file_listed_twice_is_loaded_once_per_listing(self, small_corpus, tmp_path, monkeypatch, helpers):
         a, b, c = (small_corpus / rec.path for rec in load_manifest((small_corpus / "manifest.csv").read_text())[:3])
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,game,genre,title\n" + "".join(f"{p},g,action_rpg,t\n" for p in (a, b, a, c)))
@@ -214,20 +224,19 @@ class TestExtractCommand:
             k = len(analyzed)
             analyzed.append(k)
             deadline = time.monotonic() + 10
-            while idle and k < 3 and len(loads) < k + 2 and time.monotonic() < deadline:
+            while helpers and k < 3 and len(loads) < k + 2 and time.monotonic() < deadline:
                 time.sleep(0.001)
             return real_analyze(clip, spec)
 
         analyzed = []
-        monkeypatch.setattr(block_helpers, "idle", idle)
+        monkeypatch.setattr(block_helpers, "helpers", helpers)
         monkeypatch.setattr(dataset, "load_track", load)
         monkeypatch.setattr(dataset, "analyze_clip", analyze)
         assert cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
         assert [path for path, _ in loads] == [a, b, a, c]
-        assert [on_main for _, on_main in loads] == [True] + [not idle] * 3
+        assert [on_main for _, on_main in loads] == [True] + [not helpers] * 3
         rows = (tmp_path / "o" / "features.csv").read_text().splitlines()
         assert rows[1] == rows[3]
-        assert block_helpers.idle == idle
 
     @pytest.mark.parametrize("fails", [False, True], ids=["ok", "fails"])
     @pytest.mark.parametrize("command", ["extract", "report", "preprocess"])
@@ -253,14 +262,12 @@ class TestExtractCommand:
 
         monkeypatch.setattr(block_helpers, "_pool", Recording())
         monkeypatch.setattr(block_helpers, "helpers", 1)
-        monkeypatch.setattr(block_helpers, "idle", 1)
         monkeypatch.setattr(dataset, "load_track", slow_load)
         for jobs in ("1", "2"):
             futures.clear()
             rc = cli.main([command, "--manifest", str(manifest), "--out", str(tmp_path / jobs), "--jobs", jobs])
             assert rc == (2 if fails else 0)
             assert all(future.done() for future in futures)
-            assert block_helpers.idle == 1
             if jobs == "1":
                 assert futures
 
@@ -665,6 +672,16 @@ class TestUsageErrors:
         assert rc == 0
         assert (tmp_path / "envout" / "features.csv").is_file()
 
+    @pytest.mark.parametrize("command", ["synth-corpus", "preprocess", "extract"])
+    def test_out_that_is_a_file_is_a_data_error(self, small_corpus, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        manifest = [] if command == "synth-corpus" else ["--manifest", str(small_corpus / "manifest.csv")]
+        assert cli.main([command, "--out", str(out), *manifest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: ") and str(out) in err
+        assert out.read_text() == ""
+
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
 
@@ -673,6 +690,61 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert "synth-corpus" not in out
         assert "classify" in out
+
+
+# Neither locale coercion nor Python's UTF-8 mode: the locale's encoding, and the file
+# system's, is ASCII.
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="the C locale is POSIX")
+class TestTextEncoding:
+    """Manifests and text outputs are UTF-8 with \\n newlines whatever the locale."""
+
+    @pytest.fixture(scope="class")
+    def japanese_corpus(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("japanese_corpus")
+        write_corpus(d, seed=3, games_per_genre=1, tracks_per_game=1, duration_s=2.0)
+        text = (d / "manifest.csv").read_text(encoding="utf-8")
+        (d / "action_rpg_game1_track1.wav").rename(d / fs_name("戦闘曲.wav"))  # under an ASCII locale too
+        text = text.replace("action_rpg_game1_track1.wav", "戦闘曲.wav").replace("theme 1", "テーマ")
+        (d / "manifest.csv").write_text(text, encoding="utf-8")
+        # As Excel's "CSV UTF-8" saves it: the same text after a byte order mark.
+        (d / "bom.csv").write_text(text, encoding="utf-8-sig")
+        return d
+
+    @staticmethod
+    def run(args, locale_env):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, **locale_env}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "vgmfeat", *args], env=env, capture_output=True)
+
+    @pytest.mark.parametrize("command", ["preprocess", "extract", "summarize"])
+    def test_ascii_locale_gives_the_same_bytes(self, japanese_corpus, tmp_path, command):
+        outputs = []
+        for name, locale_env in (("default", {}), ("ascii", ASCII_LOCALE)):
+            out = tmp_path / name
+            proc = self.run([command, "--manifest", str(japanese_corpus / "manifest.csv"), "--out", str(out),
+                             "--clip-seconds", "1"], locale_env)
+            assert proc.returncode == 0, proc.stderr
+            files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            outputs.append((files, proc.stdout.replace(str(out).encode(), b"OUT")))
+        assert outputs[0] == outputs[1]
+        files, stdout = outputs[0]
+        # The name reaches the outputs as UTF-8: in a CSV, or in the names of the files written.
+        assert "戦闘曲".encode() in b"".join(files.values()) + stdout
+        assert not any(b"\r" in data for path, data in files.items() if path.suffix != ".wav")
+
+    def test_manifest_with_byte_order_mark(self, japanese_corpus, tmp_path):
+        outs = []
+        for manifest in ("manifest.csv", "bom.csv"):
+            out = tmp_path / manifest
+            proc = self.run(["extract", "--manifest", str(japanese_corpus / manifest), "--out", str(out),
+                             "--clip-seconds", "1"], ASCII_LOCALE)
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out / "features.csv").read_bytes())
+        assert outs[0] == outs[1] and outs[0].startswith(b"track_id,")
 
 
 class TestConsoleEntry:

@@ -134,6 +134,20 @@ class TestFeatureRow:
             assert feats[f"mfcc_mean_{i}"] == ceps[i].mean()
             assert feats[f"mfcc_range_{i}"] == ceps[i].max() - ceps[i].min()
 
+    def test_analysis_runs_on_the_calling_thread_alone(self, clip, monkeypatch):
+        # The clip's STFT and extractors offer no block to the helpers, however many there are.
+        submitted = []
+
+        class Recording:
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                raise AssertionError("analysis submitted helper work")
+
+        monkeypatch.setattr(block_helpers, "helpers", 3)
+        monkeypatch.setattr(block_helpers, "_pool", Recording())
+        analyze_clip(clip)
+        assert submitted == []
+
 
 def analysis_clip():
     """15 s at 48 kHz of clicks over a tone, and the bytes of its magnitude spectrogram."""
@@ -154,11 +168,9 @@ def traced_peak(call):
 
 
 class TestAnalysisMemory:
-    @pytest.mark.parametrize("idle", [0, 1])
-    def test_peak_stays_within_three_and_a_half_magnitudes(self, idle, monkeypatch):
+    def test_peak_stays_within_three_and_a_half_magnitudes(self):
         # The magnitude, its power and the onset flux are the full-size arrays analyze_clip needs.
         clip, mag_bytes = analysis_clip()
-        monkeypatch.setattr(block_helpers, "idle", idle)
         peak = traced_peak(lambda: analyze_clip(clip))
         assert peak <= 3.5 * mag_bytes, f"{peak / mag_bytes:.2f} magnitudes"
 
@@ -250,11 +262,11 @@ class TestExtractTrack:
             path.write_bytes(encode_wav(AudioBuffer(np.full(100, k / 4), 8000 + k), "pcm16"))
         loads, real_load = [], dataset.load_track
         monkeypatch.setattr(dataset, "load_track", lambda path: loads.append(path) or real_load(path))
-        monkeypatch.setattr(block_helpers, "idle", 1)
+        monkeypatch.setattr(block_helpers, "helpers", 1)
         reader = ReadAhead(paths)
         assert reader.take(paths[0]).sample_rate_hz == 8000
         assert reader.beside(paths[0], lambda: "analyzed") == "analyzed"
-        assert loads == paths[:2] and block_helpers.idle == 1
+        assert loads == paths[:2]
         # Asked for another track, it gives up the load ahead and loads that one itself.
         assert reader.take(paths[2]).sample_rate_hz == 8002 and loads == paths
         # Out of step with `paths`, it loads nothing beside the call.
@@ -266,20 +278,18 @@ class TestExtractTrack:
             assert reader.take(path).sample_rate_hz == 8000 + k
             reader.beside(path, lambda: None)
         assert loads == paths  # each once, and nothing after the last track
-        assert block_helpers.idle == 1
 
     def test_failed_load_ahead_is_raised_on_its_turn(self, tmp_path, monkeypatch):
         good = tmp_path / "good.wav"
         good.write_bytes(encode_wav(AudioBuffer(np.full(100, 0.25), 8000), "pcm16"))
         paths = [good, tmp_path / "ghost.wav", good]
-        monkeypatch.setattr(block_helpers, "idle", 1)
+        monkeypatch.setattr(block_helpers, "helpers", 1)
         reader = ReadAhead(paths)
         reader.take(good)
         assert reader.beside(good, lambda: "first track done") == "first track done"
         with pytest.raises(TrackError) as err:
             reader.take(paths[1])
         assert "ghost.wav" in str(err.value) and err.value.stage == "read"
-        assert block_helpers.idle == 1
 
 class TestSummarizeByGenre:
     def test_single_track_per_genre(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vgmfeat.audio_io import AudioBuffer, block_helpers
+from vgmfeat.audio_io import AudioBuffer
 from vgmfeat.spectral import (
     STFT_BLOCK_FRAMES,
     WINDOW_FUNCTIONS,
@@ -136,15 +136,10 @@ class TestBlockedStft:
         params = StftParams(window=window)
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         want = one_shot_stft(x, params.n_fft, params.hop, make_window(window, params.n_fft))
-        # Once with a helper idle to take blocks, once with every helper held.
-        for idle in (1, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(block_helpers, "idle", idle)
-                got = stft(AudioBuffer(x, 48000), params).values
-                assert block_helpers.idle == idle
-            assert np.array_equal(got, want), f"{n} samples, {idle} idle"
-            # The same layout too, so every later matrix product reads the same memory.
-            assert got.strides == want.strides
+        got = stft(AudioBuffer(x, 48000), params).values
+        assert np.array_equal(got, want), f"{n} samples"
+        # The same layout too, so every later matrix product reads the same memory.
+        assert got.strides == want.strides
 
 
 class TestMelFilterbank:
