@@ -168,8 +168,11 @@ def traced_peak(call):
 
 
 class TestAnalysisMemory:
-    def test_peak_stays_within_three_and_a_half_magnitudes(self):
-        # The magnitude, its power and the onset flux are the full-size arrays analyze_clip needs.
+    @pytest.mark.parametrize("helpers", [0, 1])
+    def test_peak_stays_within_three_and_a_half_magnitudes(self, helpers, monkeypatch):
+        # The magnitude, its power and the onset flux are the full-size arrays analyze_clip needs,
+        # with or without block helpers.
+        monkeypatch.setattr(block_helpers, "helpers", helpers)
         clip, mag_bytes = analysis_clip()
         peak = traced_peak(lambda: analyze_clip(clip))
         assert peak <= 3.5 * mag_bytes, f"{peak / mag_bytes:.2f} magnitudes"
