@@ -12,9 +12,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .audio_io import (
     AudioBuffer,
     PreprocessSpec,
+    WavFile,
     center_trim,
     decode_wav,
     encode_wav,
+    parse_wav,
     peak_normalize,
     preprocess,
     resample,

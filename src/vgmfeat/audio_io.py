@@ -7,12 +7,13 @@ equals the same span of the fully normalized track bit for bit.
 """
 
 import math
+import mmap
 import os
 import queue
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -26,7 +27,10 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # patched in: the data runs to end of file.
 WAV_STREAMED_SIZE = 0xFFFFFFFF
 # (format tag, bits per sample) pairs decode_wav decodes.
-WAV_CODECS = {(WAVE_FORMAT_PCM, 16), (WAVE_FORMAT_PCM, 24), (WAVE_FORMAT_IEEE_FLOAT, 32)}
+WAV_CODECS = {
+    (WAVE_FORMAT_PCM, 8), (WAVE_FORMAT_PCM, 16), (WAVE_FORMAT_PCM, 24), (WAVE_FORMAT_PCM, 32),
+    (WAVE_FORMAT_IEEE_FLOAT, 32),
+}
 
 # Windowed-sinc resampler quality knobs: 64 taps per polyphase branch and a
 # Kaiser window designed for ~80 dB stop-band attenuation.
@@ -57,12 +61,16 @@ class AudioBuffer:
     The constructor rejects NaN and Inf samples. `_known_finite` is internal:
     only a producer in this module that has already checked every sample it
     wrote (decode_wav, resample) passes True, so that a full-length track is
-    not scanned a second time.
+    not scanned a second time. `_peak` is internal too: resample sets it to
+    max|samples| of the buffer it returns, and only preprocess, which calls
+    resample, reads it, before anything can change the samples. Every other
+    buffer, a clip cut from that one included, has None.
     """
 
     samples: np.ndarray
     sample_rate_hz: int
     _known_finite: InitVar[bool] = False
+    _peak: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, _known_finite):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -76,6 +84,17 @@ class AudioBuffer:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
+
+    @property
+    def n_frames(self) -> int:
+        return len(self.samples)
+
+    def frames(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Samples lo..hi, as WavFile.frames gives them: copied into out[:hi - lo] when out is given."""
+        if out is None:
+            return self.samples[lo:hi]
+        np.copyto(out[: hi - lo], self.samples[lo:hi])
+        return out[: hi - lo]
 
 
 @dataclass(frozen=True)
@@ -115,14 +134,90 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def decode_wav(data: bytes) -> AudioBuffer:
-    """Decode a RIFF/WAVE byte string into a mono AudioBuffer.
+def _mapped_empty(n: int) -> np.ndarray:
+    """np.empty(n) in a private anonymous memory mapping of its own, outside the C heap.
 
-    Handles PCM 16-bit, PCM 24-bit and IEEE float-32 data chunks; integer
-    samples are scaled to [-1, 1] (16-bit by 1/32768, 24-bit by 1/8388608)
-    and multi-channel audio is averaged to mono sample-wise. A data chunk
-    sized 0xFFFFFFFF (a streamed file) runs to end of file; a trailing
-    partial frame is dropped.
+    center_trim puts each clip there: the clip is the one per-track buffer
+    that lives through the analysis. In glibc's heap it could sit above the
+    freed resampled track and split the freed space, which the analysis's
+    11.5 MB arrays then did not fit: glibc mapped fresh pages for them while
+    the hole stayed resident, and `report --jobs 2` peaked about 7 MB higher.
+    Huge pages are asked for where the OS has them, as numpy does for its
+    own large buffers.
+    """
+    if not n:
+        return np.empty(0)
+    if not hasattr(mmap, "MAP_PRIVATE"):  # Windows: no flags, and no shared memory to avoid
+        return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+    mapping = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        mapping.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(mapping, dtype=np.float64)
+
+
+def _spans(n: int):
+    """(lo, hi) spans that cover range(n) in order, each as long as the resampler's largest block scratch."""
+    step = RESAMPLE_BLOCK_PERIODS * RESAMPLE_GROUP_SPAN_TAPS * RESAMPLE_TAPS_PER_PHASE
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+class WavFile:
+    """A parsed RIFF/WAVE file: its data chunk's bytes, its format and its frame count.
+
+    Holds a view of the file's bytes, not decoded samples: frames(lo, hi)
+    decodes and mixes down any span of frames on demand. parse_wav has
+    checked the header and every float sample, so frames() cannot fail.
+    """
+
+    def __init__(self, raw: memoryview, format_tag: int, n_channels: int, sample_rate_hz: int, bits: int):
+        self.format_tag = format_tag
+        self.n_channels = n_channels
+        self.sample_rate_hz = sample_rate_hz
+        self.bits = bits
+        self.n_frames = len(raw) // (n_channels * bits // 8)  # a trailing partial frame is dropped
+        self._raw = raw
+
+    def frames(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Frames lo..hi as float64 samples in [-1, 1], averaged over the channels.
+
+        Integer samples are scaled by a power of two, which is exact in
+        float64: 8-bit unsigned samples as (b - 128) / 128, 16-, 24- and
+        32-bit signed ones by 1/2^(bits-1). Each frame's value depends on that
+        frame alone, so any split into spans gives the same samples. The
+        result goes into out[:hi - lo] when out is given.
+        """
+        n, c = hi - lo, self.n_channels
+        width = self.bits // 8
+        raw = self._raw[lo * c * width : hi * c * width]
+        out = np.empty(n) if out is None else out[:n]
+        x = out if c == 1 else np.empty(n * c)
+        if self.bits == 8:
+            np.subtract(np.frombuffer(raw, dtype=np.uint8), 128.0, out=x, dtype=np.float64)
+            x *= 2.0**-7
+        elif self.bits == 16:
+            np.multiply(np.frombuffer(raw, dtype="<i2"), 2.0**-15, out=x, dtype=np.float64)
+        elif self.bits == 24:
+            # Each sample's 3 bytes go into the top 3 of an int32, whose arithmetic shift sign-extends.
+            wide = np.zeros((n * c, 4), dtype=np.uint8)
+            wide[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+            ints = wide.view("<i4").reshape(-1)
+            np.multiply(np.right_shift(ints, 8, out=ints), 2.0**-23, out=x, dtype=np.float64)
+        elif self.format_tag == WAVE_FORMAT_PCM:  # 32-bit integers
+            np.multiply(np.frombuffer(raw, dtype="<i4"), 2.0**-31, out=x, dtype=np.float64)
+        else:
+            x[:] = np.frombuffer(raw, dtype="<f4")
+        if c > 1:
+            x.reshape(n, c).mean(axis=1, out=out)
+        return out
+
+
+def parse_wav(data: bytes) -> WavFile:
+    """Parse a RIFF/WAVE byte string: check its header and float samples, decode nothing.
+
+    Handles PCM 8-, 16-, 24- and 32-bit and IEEE float-32 data chunks (see
+    WavFile.frames). A data chunk sized 0xFFFFFFFF (a streamed file) runs to
+    end of file. Float samples are checked for NaN and Inf in spans, with
+    no full-length array.
 
     Raises:
         WavDecodeError: malformed container; the message names the chunk.
@@ -179,25 +274,24 @@ def decode_wav(data: bytes) -> AudioBuffer:
             f"fmt chunk declares block_align {block_align}, not {n_channels} channels x {bits} bits / 8"
         )
 
-    # One pass: each integer times a power-of-two scale is exact in float64.
-    if bits == 16:
-        x = np.multiply(np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2"), 2.0**-15, dtype=np.float64)
-    elif bits == 24:
-        b = np.frombuffer(raw[: len(raw) - len(raw) % 3], dtype=np.uint8)
-        b = b.reshape(-1, 3).astype(np.int32)
-        # assemble into the top 3 bytes of an int32, arithmetic shift sign-extends
-        x = np.multiply(((b[:, 0] << 8) | (b[:, 1] << 16) | (b[:, 2] << 24)) >> 8, 2.0**-23, dtype=np.float64)
-    else:
-        x = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4").astype(np.float64)
-        if not np.all(np.isfinite(x)):
+    wav = WavFile(raw, format_tag, n_channels, int(sample_rate), bits)
+    if format_tag == WAVE_FORMAT_IEEE_FLOAT:
+        floats = np.frombuffer(raw, dtype="<f4", count=wav.n_frames * n_channels)
+        if not all(np.isfinite(floats[lo:hi]).all() for lo, hi in _spans(len(floats))):
             raise WavDecodeError("data chunk holds NaN or Inf samples")
+    return wav
 
-    n_frames = len(x) // n_channels
-    x = x[: n_frames * n_channels]
-    if n_channels > 1:
-        x = x.reshape(n_frames, n_channels).mean(axis=1)
-    # Integer PCM lies in [-1, 1) by construction and float data was checked above.
-    return AudioBuffer(x, int(sample_rate), _known_finite=True)
+
+def decode_wav(data: bytes) -> AudioBuffer:
+    """Decode a RIFF/WAVE byte string into a mono AudioBuffer: parse_wav, then every frame.
+
+    Raises:
+        WavDecodeError: malformed container; the message names the chunk.
+        UnsupportedWavError: valid container with an unhandled codec.
+    """
+    wav = parse_wav(data)
+    # Integer PCM lies in [-1, 1) by construction and parse_wav checked float data.
+    return AudioBuffer(wav.frames(0, wav.n_frames), wav.sample_rate_hz, _known_finite=True)
 
 
 def encode_wav(buf: AudioBuffer, sample_format: str = "pcm16") -> bytes:
@@ -264,25 +358,32 @@ def _branch_groups(up: int, down: int, n_branches: int):
     return groups
 
 
-def _faded_span(x: np.ndarray, ramp: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """x[lo:hi] with zeros outside x and its first and last len(ramp) samples faded.
-
-    A span clear of both fades is a view of x; any other is a fresh copy.
-    """
-    n_in, n_fade = len(x), len(ramp)
-    if n_fade <= lo and hi <= n_in - n_fade:
-        return x[lo:hi]
-    seg = np.zeros(hi - lo)
-    pieces = (
-        (0, x[:n_fade] * ramp),
-        (n_fade, x[n_fade : n_in - n_fade]),
-        (n_in - n_fade, x[n_in - n_fade :] * ramp[::-1]),
-    )
-    for at, piece in pieces:
-        a, b = max(lo, at), min(hi, at + len(piece))
-        if a < b:
-            seg[a - lo : b - lo] = piece[a - at : b - at]
+def _faded_span(source, ramp: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Frames lo..hi of source, with zeros outside it and its first and last len(ramp) frames faded, in out."""
+    n_in, n_fade = source.n_frames, len(ramp)
+    seg = out[: hi - lo]
+    a = min(max(lo, 0), hi)
+    b = max(min(hi, n_in), a)
+    seg[: a - lo] = 0.0
+    seg[b - lo :] = 0.0
+    source.frames(a, b, out=seg[a - lo : b - lo])
+    for at, piece in ((0, ramp), (n_in - n_fade, ramp[::-1])):
+        c, d = max(a, at), min(b, at + n_fade)
+        if c < d:
+            seg[c - lo : d - lo] *= piece[c - at : d - at]
     return seg
+
+
+def _abs_peak(y: np.ndarray) -> float:
+    """max|y| of a non-empty y, as max(y.max(), -y.min()): exact, with no temporary.
+
+    Raises:
+        ValueError: y holds NaN or Inf (max and min both propagate NaN).
+    """
+    top, bottom = float(y.max()), float(y.min())
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise ValueError("samples contain NaN or Inf")
+    return max(top, -bottom)
 
 
 class BlockHelpers:
@@ -338,21 +439,24 @@ def _cores() -> int:
 block_helpers = BlockHelpers(_cores() - 1)
 
 
-def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
+def resample(source, target_rate: int) -> AudioBuffer:
     """Resample with a polyphase windowed-sinc filter.
 
-    The rational ratio up/down is the reduced target/source rate pair and
-    the output length is round(n * target_rate / source_rate). A matching
-    target rate returns the input samples untouched; otherwise the input is
-    zero-padded and its first and last RESAMPLE_FADE_SAMPLES samples are
-    tapered with a raised cosine. Each block of RESAMPLE_BLOCK_PERIODS output
-    periods is one matrix product per branch group (see _branch_groups),
-    on a block grid that does not depend on the input length. The calling
-    thread and the free block_helpers threads share the blocks out; each
-    block writes only its own output rows, so the bits do not depend on which
-    thread computed it.
-    Each block's output is checked for NaN or Inf (a finite input near the
-    float range can overflow the filter) while it is still in cache.
+    `source` is an AudioBuffer or a WavFile: each block reads its own input
+    span through source.frames, so a WavFile is decoded span by span while
+    the block's rows are in cache, and never whole. The rational ratio
+    up/down is the reduced target/source rate pair and the output length is
+    round(n * target_rate / source_rate). A matching target rate returns the
+    input samples untouched; otherwise the input is zero-padded and its
+    first and last RESAMPLE_FADE_SAMPLES samples are tapered with a raised
+    cosine. Each block of RESAMPLE_BLOCK_PERIODS output periods is one matrix
+    product per branch group (see _branch_groups), on a block grid that does
+    not depend on the input length. The calling thread and the free
+    block_helpers threads share the blocks out; each block writes only its
+    own output rows, so the bits do not depend on which thread computed it.
+    Each block's output max and min are taken while it is still in cache:
+    they give the returned buffer's peak, and show a NaN or Inf (a finite
+    input near the float range can overflow the filter).
 
     Raises:
         ValueError: non-positive target rate, empty input, or an output
@@ -360,16 +464,19 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
-    if len(buf.samples) == 0:
+    n_in = source.n_frames
+    if n_in == 0:
         raise ValueError("cannot resample an empty buffer")
-    if target_rate == buf.sample_rate_hz:
-        return AudioBuffer(buf.samples.copy(), buf.sample_rate_hz)
+    peaks = []  # one per block or span; list.append is atomic across threads
+    if target_rate == source.sample_rate_hz:
+        out = np.empty(n_in)
+        for lo, hi in _spans(n_in):
+            peaks.append(_abs_peak(source.frames(lo, hi, out=out[lo:hi])))
+        return _with_peak(AudioBuffer(out, source.sample_rate_hz, _known_finite=True), peaks)
 
-    g = math.gcd(int(target_rate), buf.sample_rate_hz)
+    g = math.gcd(int(target_rate), source.sample_rate_hz)
     up = int(target_rate) // g
-    down = buf.sample_rate_hz // g
-    x = buf.samples
-    n_in = len(x)
+    down = source.sample_rate_hz // g
     n_out = (2 * n_in * up + down) // (2 * down)  # round-half-up of n_in*up/down
 
     n_fade = min(RESAMPLE_FADE_SAMPLES, n_in // 2)
@@ -385,14 +492,14 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     table = out.reshape(n_per, cols)
 
     def run(block_starts):
-        # Scratch per thread: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB), and one
-        # flag per output of a block, never more than `out` holds.
+        # Scratch per thread: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB) of kernel
+        # rows, and one block's input span.
         tmp = np.empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
-        finite = np.empty(min(RESAMPLE_BLOCK_PERIODS, n_per) * cols, dtype=bool)
+        span = np.empty(max(0, min(RESAMPLE_BLOCK_PERIODS, n_per) - 1) * down + width)
         for p0 in block_starts:
             rows = min(RESAMPLE_BLOCK_PERIODS, n_per - p0)
             lo = p0 * down - RESAMPLE_TAPS_PER_PHASE // 2
-            seg = _faded_span(x, ramp, lo, lo + (rows - 1) * down + width)
+            seg = _faded_span(source, ramp, lo, lo + (rows - 1) * down + width, span)
             spans = np.lib.stride_tricks.sliding_window_view(seg, width)[::down]
             # An overflow is an error raised below, not a warning printed by whichever thread ran the block.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -401,11 +508,26 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
                     np.copyto(block, spans[:, offset : offset + len(kernel)])
                     np.matmul(block, kernel, out=table[p0 : p0 + rows, ja:jb])
             done = out[p0 * cols : min((p0 + rows) * cols, n_out)]  # the block's rows, as far as they are kept
-            if not np.isfinite(done, out=finite[: len(done)]).all():
-                raise ValueError("samples contain NaN or Inf")
+            if len(done):
+                peaks.append(_abs_peak(done))
 
     block_helpers.run_blocks(run, range(0, n_per, RESAMPLE_BLOCK_PERIODS))
-    return AudioBuffer(out[:n_out], int(target_rate), _known_finite=True)
+    return _with_peak(AudioBuffer(out[:n_out], int(target_rate), _known_finite=True), peaks)
+
+
+def _with_peak(buf: AudioBuffer, peaks) -> AudioBuffer:
+    buf._peak = max(peaks, default=0.0)  # max|y| over the blocks is max|y| over the track, exactly
+    return buf
+
+
+def _gain(peak: float, target_peak_dbfs: float) -> float:
+    if peak == 0.0:
+        raise SilentAudioError("cannot normalize silent audio")
+    # As a Python float, a subnormal peak divides to inf without a numpy overflow warning.
+    gain = 10.0 ** (target_peak_dbfs / 20.0) / peak
+    if not math.isfinite(gain):
+        raise SilentAudioError(f"peak {peak:g} is too small to normalize")
+    return gain
 
 
 def peak_gain(samples: np.ndarray, target_peak_dbfs: float) -> float:
@@ -416,14 +538,7 @@ def peak_gain(samples: np.ndarray, target_peak_dbfs: float) -> float:
             subnormal peak would need an infinite gain.
     """
     # max(x.max(), -x.min()) is exactly max(|x|), without a full-length temporary.
-    # As a Python float, a subnormal peak divides to inf without a numpy overflow warning.
-    peak = float(max(samples.max(), -samples.min())) if len(samples) else 0.0
-    if peak == 0.0:
-        raise SilentAudioError("cannot normalize silent audio")
-    gain = 10.0 ** (target_peak_dbfs / 20.0) / peak
-    if not math.isfinite(gain):
-        raise SilentAudioError(f"peak {peak:g} is too small to normalize")
-    return gain
+    return _gain(float(max(samples.max(), -samples.min())) if len(samples) else 0.0, target_peak_dbfs)
 
 
 def peak_normalize(buf: AudioBuffer, target_peak_dbfs: float) -> AudioBuffer:
@@ -451,17 +566,20 @@ def center_trim(buf: AudioBuffer, duration_s: float) -> AudioBuffer:
             f"input is {n_in / buf.sample_rate_hz:.3f} s, need {duration_s:.3f} s"
         )
     start = (n_in - n_out) // 2
-    return AudioBuffer(buf.samples[start : start + n_out].copy(), buf.sample_rate_hz)
+    clip = _mapped_empty(n_out)  # a copy, outside the C heap
+    clip[:] = buf.samples[start : start + n_out]
+    return AudioBuffer(clip, buf.sample_rate_hz)
 
 
-def preprocess(buf: AudioBuffer, spec: PreprocessSpec) -> AudioBuffer:
-    """Run resample -> peak normalize -> center trim on a decoded buffer (see PreprocessSpec).
+def preprocess(source, spec: PreprocessSpec) -> AudioBuffer:
+    """Run resample -> peak normalize -> center trim on an AudioBuffer or a WavFile (see PreprocessSpec).
 
-    The gain comes from the whole resampled track but scales only the clip,
-    which equals center_trim(peak_normalize(resample(buf))) bit for bit.
+    The gain comes from the whole resampled track, whose peak resample took
+    block by block, but scales only the clip, which equals
+    center_trim(peak_normalize(resample(decode_wav(b)))) bit for bit.
     """
-    out = resample(buf, spec.target_sample_rate_hz)
-    gain = peak_gain(out.samples, spec.target_peak_dbfs)
+    out = resample(source, spec.target_sample_rate_hz)
+    gain = _gain(out._peak, spec.target_peak_dbfs)
     n_clip = spec.clip_samples
     if spec.pad_short and len(out.samples) < n_clip:
         left = (n_clip - len(out.samples)) // 2

@@ -39,7 +39,7 @@ from .dataset import (
     write_genre_summary_csv,
     write_manifest,
 )
-from .errors import VgmfeatError
+from .errors import TrackError, VgmfeatError
 from .features import min_clip_samples
 from .spectral import StftParams, mel_filterbank
 from . import synth
@@ -256,6 +256,34 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
         _write(out_dir, "report.txt", report.to_text(), produced)
 
 
+def _message(exc) -> str:
+    """str(exc), but with an OSError's file name quoted as text rather than by repr().
+
+    Under an ASCII locale, fs_name leaves a non-ASCII file name's bytes as
+    surrogate escapes, which repr() spells out as backslash escapes.
+    """
+    if isinstance(exc, TrackError):
+        return f"{exc.path}: {exc.stage}: {_message(exc.cause)}"
+    if isinstance(exc, OSError) and exc.strerror and isinstance(exc.filename, str) and exc.filename2 is None:
+        return f"[Errno {exc.errno}] {exc.strerror}: '{exc.filename}'"
+    return str(exc)
+
+
+def _print_error(command: str, exc: Exception):
+    """Print `error [command]: <exc>` on stderr as UTF-8, the same bytes under any locale.
+
+    The surrogate escapes of file names (see fs_name) go out as the UTF-8
+    bytes they stand for, where stderr would print them as backslash escapes.
+    """
+    line = f"error [{command}]: {_message(exc)}\n".encode("utf-8", "surrogateescape")
+    sys.stderr.flush()
+    if hasattr(sys.stderr, "buffer"):
+        sys.stderr.buffer.write(line)
+        sys.stderr.buffer.flush()
+    else:  # a text-only stream, such as io.StringIO
+        sys.stderr.write(line.decode("utf-8", "replace"))
+
+
 def main(argv=None) -> int:
     """Run one command; returns the process exit status."""
     try:
@@ -274,7 +302,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except OSError as exc:
-            print(f"error [{args.command}]: {exc}", file=sys.stderr)
+            _print_error(args.command, exc)
             return EXIT_DATA
         print(f"wrote {manifest}")
         return EXIT_OK
@@ -315,7 +343,7 @@ def main(argv=None) -> int:
         manifest = json.dumps({"command": args.command, "files": produced}, indent=2) + "\n"
         _write(out_dir, "run_manifest.json", manifest, produced)
     except (VgmfeatError, OSError, ValueError) as exc:
-        print(f"error [{args.command}]: {exc}", file=sys.stderr)
+        _print_error(args.command, exc)
         return EXIT_DATA
 
     for name in produced:

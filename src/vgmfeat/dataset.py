@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer, PreprocessSpec, block_helpers, decode_wav, preprocess
+from .audio_io import AudioBuffer, PreprocessSpec, WavFile, block_helpers, parse_wav, preprocess
 from .errors import VgmfeatError, TrackError
 from .features import (
     PITCH_CLASSES,
@@ -206,13 +206,18 @@ def track_path(rec: TrackRecord, base_dir: str | None = None) -> Path:
     return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
 
 
-def load_track(path: Path) -> AudioBuffer:
-    """Read and decode one WAV file; a failure is re-raised as TrackError naming the stage."""
+def load_track(path: Path) -> WavFile:
+    """Read and parse one WAV file; a failure is re-raised as TrackError naming the stage.
+
+    The samples stay undecoded in the file's bytes: resample decodes them
+    span by span. A bad header or a NaN or Inf float sample fails here, at
+    the decode stage.
+    """
     stage = "read"
     try:
         data = path.read_bytes()
         stage = "decode"
-        return decode_wav(data)
+        return parse_wav(data)
     except (OSError, ValueError, VgmfeatError) as exc:
         raise TrackError(str(path), stage, exc) from exc
 
@@ -220,21 +225,22 @@ def load_track(path: Path) -> AudioBuffer:
 class ReadAhead:
     """Loads a run's tracks in `paths` order, each next one beside the analysis of the one before.
 
-    take(path) returns the next track's decoded buffer: the load made beside
-    the track before, or one made here if there is none or it is of another
-    file. beside(path, call) returns call(), run here once the caller keeps
-    none of the track's full-length arrays, while a block helper, if one is
-    free, loads the next track; both finish before beside returns. A failed
-    load is raised by the take() for its track. The look-ahead goes by
-    position, so a file listed twice is loaded once per listing.
+    take(path) returns the next track's parsed file (load_track), which holds
+    the file's bytes: the load made beside the track before, or one made here
+    if there is none or it is of another file. beside(path, call) returns
+    call(), run here once the caller keeps none of the track's full-length
+    data, while a block helper, if one is free, loads the next track; both
+    finish before beside returns. A failed load is raised by the take() for
+    its track. The look-ahead goes by position, so a file listed twice is
+    loaded once per listing.
     """
 
     def __init__(self, paths):
         self.paths = paths
         self.taken = 0  # tracks handed out so far
-        self.loaded = (None, None)  # (path, buffer or TrackError) loaded beside the last track
+        self.loaded = (None, None)  # (path, WavFile or TrackError) loaded beside the last track
 
-    def take(self, path: Path) -> AudioBuffer:
+    def take(self, path: Path) -> WavFile:
         (ahead, loaded), self.loaded = self.loaded, (None, None)
         self.taken += 1
         if ahead != path:
@@ -292,7 +298,7 @@ def release_free_heap():
 
 
 def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last, reader: ReadAhead | None = None):
-    """Read, decode and preprocess one WAV file, then return last(clip).
+    """Read, parse and preprocess one WAV file, then return last(clip).
 
     Any failure is re-raised as TrackError carrying the track path and the
     pipeline stage that broke; `last_stage` names the stage `last` runs. With
@@ -300,11 +306,11 @@ def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last, reader
     the load of the track after it (ReadAhead.beside). Once `last` returns,
     the heap it freed goes back to the OS (release_free_heap).
     """
-    buf = reader.take(path) if reader else load_track(path)
+    wav = reader.take(path) if reader else load_track(path)
     stage = "preprocess"
     try:
-        clip = preprocess(buf, pre)
-        del buf  # the full-length track dies here, before the next one is loaded
+        clip = preprocess(wav, pre)  # resample decodes the file's bytes block by block
+        del wav  # the file's bytes die here, before the next one is loaded
         stage = last_stage
         result = reader.beside(path, lambda: last(clip)) if reader else last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:

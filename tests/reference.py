@@ -115,7 +115,14 @@ def pitch_class_energy(power_matrix, freqs, fmin_hz=32.7, reference_hz=440.0):
 def pcm_to_float_two_pass(ints, bits):
     """Integer PCM samples scaled to [-1, 1) in two passes: cast to float64, then divide by full scale."""
     x = np.asarray(ints).astype(np.float64)
-    x /= {16: 32768.0, 24: 8388608.0}[bits]
+    x /= {16: 32768.0, 24: 8388608.0, 32: 2147483648.0}[bits]
+    return x
+
+
+def unsigned_pcm8_to_float_two_pass(values):
+    """Unsigned 8-bit PCM samples scaled to [-1, 1) in two passes: cast to float64 less 128, then divide by 128."""
+    x = np.asarray(values).astype(np.float64) - 128.0
+    x /= 128.0
     return x
 
 

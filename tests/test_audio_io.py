@@ -23,19 +23,21 @@ from vgmfeat.audio_io import (
     center_trim,
     decode_wav,
     encode_wav,
+    parse_wav,
     peak_normalize,
     preprocess,
     resample,
 )
 from vgmfeat.errors import SilentAudioError, TooShortError, UnsupportedWavError, VgmfeatError, WavDecodeError
 
-from conftest import sine
+from conftest import pcm_bytes, sine, wav_bytes
 from reference import (
     naive_dft_magnitudes,
     padded_gemm_resample,
     pcm_to_float_two_pass,
     sinc_bank,
     unblocked_resample,
+    unsigned_pcm8_to_float_two_pass,
 )
 
 
@@ -76,22 +78,6 @@ def padded_gemm(x, src, dst):
                                 RESAMPLE_BLOCK_PERIODS, RESAMPLE_GROUP_SPAN_TAPS)
 
 
-def wav_bytes(payload, format_tag, channels, rate, bits, block=None):
-    block = channels * bits // 8 if block is None else block
-    return b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, format_tag, channels, rate, rate * block, block, bits),
-            b"data",
-            struct.pack("<I", len(payload)),
-            payload,
-        ]
-    )
-
-
 def extensible_wav_bytes(payload, sub_format, channels, rate, bits):
     """WAVE_FORMAT_EXTENSIBLE container: the codec sits in the 40-byte fmt chunk's sub-format GUID."""
     block = channels * bits // 8
@@ -119,6 +105,8 @@ SAMPLE_WAVS = {
     "pcm24": wav_bytes(bytes([0x00, 0x00, 0x40, 0x00, 0x00, 0xC0, 0x01, 0x00, 0x00]), 1, 1, 48000, 24),
     "float32": wav_bytes(np.array([[0.25, -0.5], [0.0, 1.0]], dtype="<f4").tobytes(), 3, 2, 44100, 32),
     "extensible": extensible_wav_bytes(np.array([0.5, -0.5], dtype="<f4").tobytes(), 3, 1, 48000, 32),
+    "pcm8": wav_bytes(bytes([0, 128, 255, 64]), 1, 1, 8000, 8),
+    "pcm32": wav_bytes(pcm_bytes([[-2**31, 5], [0, 2**31 - 1]], 32), 1, 2, 48000, 32),
 }
 # Whole files that must fail with a WavDecodeError naming the fmt chunk.
 MALFORMED_WAVS = {
@@ -155,6 +143,26 @@ class TestDecodeWav:
         payload = bytes([0x00, 0x00, 0x40, 0x00, 0x00, 0xC0, 0x01, 0x00, 0x00])
         buf = decode_wav(wav_bytes(payload, 1, 1, 48000, 24))
         np.testing.assert_allclose(buf.samples, [0.5, -0.5, 1.0 / 8388608])
+
+    def test_pcm8_scaling(self):
+        # unsigned bytes centred on 128: 0 -> -1, 128 -> 0, 255 -> 127/128
+        buf = decode_wav(wav_bytes(bytes([0, 128, 255, 64]), 1, 1, 8000, 8))
+        np.testing.assert_array_equal(buf.samples, [-1.0, 0.0, 127 / 128, -0.5])
+
+    def test_pcm32_scaling(self):
+        ints = np.array([-2**31, 0, 2**31 - 1, 2**30])
+        buf = decode_wav(wav_bytes(pcm_bytes(ints, 32), 1, 1, 48000, 32))
+        np.testing.assert_array_equal(buf.samples, ints / 2**31)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(bits=st.sampled_from([8, 32]), channels=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_8_and_32_bit_scaling_matches_two_pass(self, bits, channels, data):
+        low, high = (0, 255) if bits == 8 else (-2**31, 2**31 - 1)
+        ints = data.draw(st.lists(st.integers(low, high), min_size=channels, max_size=64 * channels))
+        ints = np.array(ints[: len(ints) - len(ints) % channels])
+        x = unsigned_pcm8_to_float_two_pass(ints) if bits == 8 else pcm_to_float_two_pass(ints, bits)
+        want = x.reshape(-1, channels).mean(axis=1)
+        assert np.array_equal(decode_wav(wav_bytes(pcm_bytes(ints, bits), 1, channels, 44100, bits)).samples, want)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(bits=st.sampled_from([16, 24]), channels=st.sampled_from([1, 2]), data=st.data())
@@ -222,7 +230,7 @@ class TestDecodeWav:
 
     def test_unsupported_codec(self):
         with pytest.raises(UnsupportedWavError):
-            decode_wav(wav_bytes(b"\x00\x00", 1, 1, 48000, 8))  # PCM 8-bit
+            decode_wav(wav_bytes(b"\x00" * 8, 3, 1, 48000, 64))  # IEEE float-64
         with pytest.raises(UnsupportedWavError):
             decode_wav(wav_bytes(b"\x00\x00", 7, 1, 8000, 8))  # mu-law
 
@@ -659,6 +667,77 @@ class TestPreprocessEqualsComposedChain:
         x[8000] = 5e-324
         with np.errstate(all="raise"), pytest.raises(SilentAudioError):
             preprocess(AudioBuffer(x, 8000), PreprocessSpec(-5.0, 1.0, 8000))
+
+
+# The identity rate, and ratios whose block grids put 320, 147 and 147 input frames in each period.
+ORACLE_PAIRS = [(44100, 44100), (96000, 44100), (44100, 48000), (22050, 48000)]
+
+
+def block_frames(src, dst):
+    """Input frames per resampler block; at the identity rate, per span of resample's copy."""
+    if src == dst:
+        return RESAMPLE_BLOCK_PERIODS * RESAMPLE_GROUP_SPAN_TAPS * RESAMPLE_TAPS_PER_PHASE
+    return RESAMPLE_BLOCK_PERIODS * src // np.gcd(src, dst)
+
+
+def outcome(call):
+    """call()'s rate and sample bits, or the type and message of the error it raised."""
+    try:
+        out = call()
+    except (ValueError, VgmfeatError) as exc:
+        return type(exc), str(exc)
+    return out.sample_rate_hz, out.samples.tobytes()
+
+
+class TestParsedWavEqualsDecodedBuffer:
+    """resample and preprocess, reading a parsed WAV span by span, equal the same calls on decode_wav's buffer."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        codec=st.sampled_from(["pcm16", "pcm24", "float32"]),
+        channels=st.integers(1, 3),
+        pair=st.sampled_from(ORACLE_PAIRS),
+        length=st.one_of(
+            st.just(1),
+            st.integers(2, 2 * RESAMPLE_FADE_SAMPLES + 1),  # below, at and just past both fades
+            st.tuples(st.integers(1, 2), st.integers(-1, 1)),  # k block edges, plus or minus one frame
+        ),
+        pad_short=st.booleans(),
+        spike_in_fade=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(self, codec, channels, pair, length, pad_short, spike_in_fade, seed):
+        src, dst = pair
+        n = length[0] * block_frames(src, dst) + length[1] if isinstance(length, tuple) else length
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.05, 0.05, (n, channels))
+        if spike_in_fade:
+            x[min(10, n - 1)] = 0.9  # the peak, inside the first fade
+        if codec == "float32":
+            data = wav_bytes(x.astype("<f4").tobytes(), 3, channels, src, 32)
+        else:
+            bits = int(codec[3:])
+            data = wav_bytes(pcm_bytes(np.round(x * 2 ** (bits - 1)), bits), 1, channels, src, bits)
+        n_out = (2 * n * dst + src) // (2 * src)
+        clip = n_out + 7 if pad_short else max(1, n_out // 2)
+        spec = PreprocessSpec(-3.0, clip / dst, dst, pad_short)
+
+        wav, buf = parse_wav(data), decode_wav(data)
+        assert (wav.n_frames, wav.sample_rate_hz) == (len(buf.samples), buf.sample_rate_hz)
+        assert outcome(lambda: resample(wav, dst)) == outcome(lambda: resample(buf, dst))
+        assert outcome(lambda: preprocess(wav, spec)) == outcome(lambda: composed(buf, spec))
+
+    @pytest.mark.parametrize("src, dst", ORACLE_PAIRS + [(44100, 22050)])
+    @pytest.mark.parametrize("n", [1, 40, 5000])
+    def test_peak_is_the_largest_magnitude(self, src, dst, n):
+        # Taken block by block for preprocess; the clip cut from the track does not carry it.
+        y = resample(AudioBuffer(noise_with_spike(n, n // 2), src), dst)
+        if not len(y.samples):  # 1 sample at 96 -> 44.1 kHz gives no output, and no peak
+            assert y._peak == 0.0
+            return
+        assert y._peak == np.abs(y.samples).max()
+        spec = PreprocessSpec(-5.0, len(y.samples) / dst, dst)
+        assert preprocess(AudioBuffer(noise_with_spike(n, n // 2), src), spec)._peak is None
 
 
 class TestValidation:

@@ -6,6 +6,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import weakref
@@ -13,11 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vgmfeat import audio_io, cli, dataset
 from vgmfeat.audio_io import block_helpers, decode_wav
 from vgmfeat.dataset import feature_names, fs_name, load_manifest, read_feature_table_csv
 from vgmfeat.synth import write_corpus
+
+from conftest import pcm_bytes, wav_bytes
 
 
 @pytest.fixture(scope="module")
@@ -172,38 +176,39 @@ class TestExtractCommand:
 
     def test_next_track_loads_once_the_last_is_preprocessed(self, small_corpus, tmp_path, monkeypatch):
         # Tracks run in order at --jobs 1, so the k-th call of each stage is track k.
-        events, decoded, resampled, helper_loads = [], [], [], []
-        real_decode, real_preprocess, real_resample = dataset.decode_wav, dataset.preprocess, audio_io.resample
+        events, parsed, resampled, helper_loads = [], [], [], []
+        real_parse, real_preprocess, real_resample = dataset.parse_wav, dataset.preprocess, audio_io.resample
 
-        def decode(data):
-            k = sum(event == "decode" for event, _ in events)
-            # Nothing of the track before may be alive: not its decoded nor its resampled samples.
-            events.append(("decode", k))
+        def parse(data):
+            k = sum(event == "parse" for event, _ in events)
+            # Nothing of the track before may be alive: not its parsed file, which holds the
+            # file's bytes (bytes cannot be weakly referenced), nor its resampled samples.
+            events.append(("parse", k))
             if k:
                 helper_loads.append(threading.current_thread() is not threading.main_thread())
-                events.append(("previous track freed", decoded[k - 1]() is None and resampled[k - 1]() is None))
-            buf = real_decode(data)
-            decoded.append(weakref.ref(buf.samples))
-            return buf
+                events.append(("previous track freed", parsed[k - 1]() is None and resampled[k - 1]() is None))
+            wav = real_parse(data)
+            parsed.append(weakref.ref(wav))
+            return wav
 
-        def resample(buf, rate):
-            out = real_resample(buf, rate)
+        def resample(source, rate):
+            out = real_resample(source, rate)
             resampled.append(weakref.ref(out.samples))
             return out
 
-        def preprocess(buf, pre):
-            clip = real_preprocess(buf, pre)
+        def preprocess(source, pre):
+            clip = real_preprocess(source, pre)
             events.append(("preprocessed", sum(event == "preprocessed" for event, _ in events)))
             return clip
 
         monkeypatch.setattr(block_helpers, "helpers", 1)
-        monkeypatch.setattr(dataset, "decode_wav", decode)
+        monkeypatch.setattr(dataset, "parse_wav", parse)
         monkeypatch.setattr(dataset, "preprocess", preprocess)
         monkeypatch.setattr(audio_io, "resample", resample)
         assert cli.main(["extract", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(tmp_path)]) == 0
         order = [event for event in events if event[0] != "previous track freed"]
-        assert order == [("decode", 0)] + [event for k in range(1, 9) for event in
-                                           [("preprocessed", k - 1), ("decode", k)]] + [("preprocessed", 8)]
+        assert order == [("parse", 0)] + [event for k in range(1, 9) for event in
+                                          [("preprocessed", k - 1), ("parse", k)]] + [("preprocessed", 8)]
         assert [freed for event, freed in events if event == "previous track freed"] == [True] * 8
         # Each later track is loaded on the helper, unless the helper had not started when it was needed.
         assert any(helper_loads)
@@ -314,6 +319,60 @@ class TestExtractCommand:
             outs.append({name: (out / name).read_bytes() for name in declared_files(out)})
         assert len(outs[0]) == 5 + 9 * 5  # the feature, summary and report files plus 5 series per track
         assert outs[0] == outs[1]
+
+
+def report_files(corpus):
+    """Every file `report` declares for the corpus, by name, with 1 s clips."""
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.main(["report", "--manifest", str(Path(corpus) / "manifest.csv"), "--out", out,
+                         "--clip-seconds", "1"]) == 0
+        return {name: (Path(out) / name).read_bytes() for name in declared_files(out)}
+
+
+class TestMetamorphicReports:
+    """Inputs that give every preprocessed clip the same bits give the same report files.
+
+    A scale by a power of two commutes with every rounding in the chain and the
+    gain undoes it, a pcm16 sample is exact in float32, and the mean of equal
+    pcm16 channels is that channel. Between them these pin the mixdown order,
+    the gain and the resampler's block grid.
+    """
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """A 9-track pcm16 corpus, each track's integer samples, and its report files."""
+        d = tmp_path_factory.mktemp("metamorphic")
+        write_corpus(d, seed=5, games_per_genre=1, tracks_per_game=3, duration_s=2.0)
+        ints = {rec.path: np.round(decode_wav((d / rec.path).read_bytes()).samples * 2**15).astype(int)
+                for rec in load_manifest((d / "manifest.csv").read_text())}
+        return d, ints, report_files(d)
+
+    @staticmethod
+    def variant(base, encode):
+        """report_files of the base corpus with each track re-encoded as encode(integer samples)."""
+        corpus, ints, _ = base
+        with tempfile.TemporaryDirectory() as d:
+            (Path(d) / "manifest.csv").write_bytes((corpus / "manifest.csv").read_bytes())
+            for name, k in ints.items():
+                (Path(d) / name).write_bytes(encode(k))
+            return report_files(d)
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @example(exponent=-3)
+    @example(exponent=0)  # the pcm16 tracks re-encoded as float32
+    @given(exponent=st.integers(-40, 40))
+    def test_float32_scaled_by_a_power_of_two(self, base, exponent):
+        got = self.variant(base, lambda k: wav_bytes((k * 2.0 ** (exponent - 15)).astype("<f4").tobytes(),
+                                                     3, 1, 44100, 32))
+        assert got == base[2]
+
+    @settings(derandomize=True, max_examples=3, deadline=None)
+    @example(channels=2)
+    @given(channels=st.integers(2, 5))
+    def test_equal_channels_mix_down_to_their_mono_source(self, base, channels):
+        got = self.variant(base, lambda k: wav_bytes(pcm_bytes(np.repeat(k[:, None], channels, axis=1), 16),
+                                                     1, channels, 44100, 16))
+        assert got == base[2]
 
 
 class TestHeapRelease:
@@ -735,6 +794,15 @@ class TestTextEncoding:
         # The name reaches the outputs as UTF-8: in a CSV, or in the names of the files written.
         assert "戦闘曲".encode() in b"".join(files.values()) + stdout
         assert not any(b"\r" in data for path, data in files.items() if path.suffix != ".wav")
+
+    def test_error_line_gives_the_same_bytes(self, tmp_path):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,game,genre,title\nenc/無い.wav,g,action_rpg,t\n", encoding="utf-8")
+        track = tmp_path / "enc" / "無い.wav"
+        want = f"error [extract]: {track}: read: [Errno 2] No such file or directory: '{track}'\n".encode()
+        for locale_env in ({}, ASCII_LOCALE):
+            proc = self.run(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")], locale_env)
+            assert (proc.returncode, proc.stderr) == (2, want), locale_env
 
     def test_manifest_with_byte_order_mark(self, japanese_corpus, tmp_path):
         outs = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vgmfeat import dataset
+from vgmfeat import audio_io, dataset
 from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, block_helpers, encode_wav
 from vgmfeat.dataset import (
     AnalysisSpec,
@@ -37,7 +37,7 @@ from vgmfeat.features import (
 from vgmfeat.spectral import StftParams, apply_filterbank, mel_filterbank, stft
 from vgmfeat.synth import make_click_track, write_corpus
 
-from conftest import sine
+from conftest import pcm_bytes, sine, wav_bytes
 from reference import savetxt_series_csv
 
 GENRES = ("adventure_rpg", "action_rpg", "strategy_rpg")
@@ -293,6 +293,29 @@ class TestExtractTrack:
         with pytest.raises(TrackError) as err:
             reader.take(paths[1])
         assert "ghost.wav" in str(err.value) and err.value.stage == "read"
+
+class TestTrackMemory:
+    def test_track_path_holds_no_full_length_decoded_array(self, tmp_path, monkeypatch):
+        # 20 s of 96 kHz 24-bit stereo: its frames decoded to float64 would take 2.7 times the file's size.
+        rate, n = 96000, 20 * 96000
+        path = tmp_path / "hires.wav"
+        path.write_bytes(wav_bytes(pcm_bytes(np.random.default_rng(24).integers(-2**23, 2**23, (n, 2)), 24),
+                                   1, 2, rate, 24))
+        # The clip made on the heap, where tracemalloc sees it, not in a mapping of its own.
+        monkeypatch.setattr(audio_io, "_mapped_empty", np.empty, raising=False)
+        pre = PreprocessSpec()
+        n_out = 20 * pre.target_sample_rate_hz
+        tracemalloc.start()
+        try:
+            dataset.process_track(path, pre, "x", lambda clip: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file, the resampled track and the clip, plus the resampler's per-thread scratch
+        # (0.75 MB over these on one thread): the track decoded to float64 mono would add 7.7 MB.
+        bound = path.stat().st_size + 8 * n_out + 8 * pre.clip_samples
+        assert peak < bound + 2**20 * (2 + audio_io.block_helpers.helpers), f"{(peak - bound) / 2**20:.2f} MB over"
+
 
 class TestSummarizeByGenre:
     def test_single_track_per_genre(self):
