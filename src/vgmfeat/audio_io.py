@@ -2,8 +2,9 @@
 
 The canonical order is decode -> mixdown -> resample -> peak normalize ->
 center trim. The normalization gain is computed on the whole resampled
-track, but `preprocess` multiplies it into the trimmed clip only; the clip
-equals the same span of the fully normalized track bit for bit.
+track, but `preprocess` has resample keep only the clip's rows and
+multiplies the gain into those; the clip equals the same span of the fully
+normalized track bit for bit, and no full-length resampled track is built.
 """
 
 import math
@@ -62,9 +63,9 @@ class AudioBuffer:
     only a producer in this module that has already checked every sample it
     wrote (decode_wav, resample) passes True, so that a full-length track is
     not scanned a second time. `_peak` is internal too: resample sets it to
-    max|samples| of the buffer it returns, and only preprocess, which calls
-    resample, reads it, before anything can change the samples. Every other
-    buffer, a clip cut from that one included, has None.
+    max|y| over the whole resampled track y, rows outside the window it
+    returns included, and only preprocess, which calls resample, reads it.
+    Every other buffer, the clip preprocess returns included, has None.
     """
 
     samples: np.ndarray
@@ -137,13 +138,16 @@ def _round_half_up(x: float) -> int:
 def _mapped_empty(n: int) -> np.ndarray:
     """np.empty(n) in a private anonymous memory mapping of its own, outside the C heap.
 
-    center_trim puts each clip there: the clip is the one per-track buffer
-    that lives through the analysis. In glibc's heap it could sit above the
-    freed resampled track and split the freed space, which the analysis's
-    11.5 MB arrays then did not fit: glibc mapped fresh pages for them while
-    the hole stayed resident, and `report --jobs 2` peaked about 7 MB higher.
-    Huge pages are asked for where the OS has them, as numpy does for its
-    own large buffers.
+    resample puts its output there, and preprocess's clip is that output:
+    the clip is the one per-track buffer that lives through the analysis. In
+    glibc's heap it could sit above freed per-track buffers and split the
+    freed space, which the analysis's 11.5 MB arrays then did not fit: glibc
+    mapped fresh pages for them while the hole stayed resident, and
+    `report --jobs 2` peaked about 7 MB higher. resample's per-thread
+    scratch is mapped too: freed into a thread's heap arena, it stayed
+    resident through the analysis, about 3 MB on `report --jobs 1`. Huge
+    pages are asked for where the OS has them, as numpy does for its own
+    large buffers.
     """
     if not n:
         return np.empty(0)
@@ -439,63 +443,92 @@ def _cores() -> int:
 block_helpers = BlockHelpers(_cores() - 1)
 
 
-def resample(source, target_rate: int) -> AudioBuffer:
-    """Resample with a polyphase windowed-sinc filter.
+def resampled_length(n_frames: int, source_rate: int, target_rate: int) -> int:
+    """resample's output length: round(n_frames * target_rate / source_rate), halves rounded up."""
+    return (2 * n_frames * int(target_rate) + source_rate) // (2 * source_rate)
+
+
+def _keep(out: np.ndarray, first: int, lo: int, rows: np.ndarray):
+    """Copy output rows lo..lo + len(rows) into out where they fall in its window, which starts at row first."""
+    a, b = max(lo, first), min(lo + len(rows), first + len(out))
+    if a < b:
+        out[a - first : b - first] = rows[a - lo : b - lo]
+
+
+def resample(source, target_rate: int, window: tuple[int, int] | None = None) -> AudioBuffer:
+    """Resample with a polyphase windowed-sinc filter; return the whole track, or the rows of `window`.
 
     `source` is an AudioBuffer or a WavFile: each block reads its own input
     span through source.frames, so a WavFile is decoded span by span while
     the block's rows are in cache, and never whole. The rational ratio
-    up/down is the reduced target/source rate pair and the output length is
-    round(n * target_rate / source_rate). A matching target rate returns the
-    input samples untouched; otherwise the input is zero-padded and its
-    first and last RESAMPLE_FADE_SAMPLES samples are tapered with a raised
-    cosine. Each block of RESAMPLE_BLOCK_PERIODS output periods is one matrix
-    product per branch group (see _branch_groups), on a block grid that does
-    not depend on the input length. The calling thread and the free
-    block_helpers threads share the blocks out; each block writes only its
-    own output rows, so the bits do not depend on which thread computed it.
-    Each block's output max and min are taken while it is still in cache:
-    they give the returned buffer's peak, and show a NaN or Inf (a finite
+    up/down is the reduced target/source rate pair and the track's length
+    is resampled_length(n, source rate, target rate). A matching target rate
+    gives the input samples untouched; otherwise the input is zero-padded
+    and its first and last RESAMPLE_FADE_SAMPLES samples are tapered with a
+    raised cosine. Each block of RESAMPLE_BLOCK_PERIODS output periods is one
+    matrix product per branch group (see _branch_groups), on a block grid
+    that does not depend on the input length or the window. The calling
+    thread and the free block_helpers threads share the blocks out. Each
+    block computes into its thread's scratch and copies only the rows that
+    fall in the window, so the bits do not depend on the window or on which
+    thread computed them. Every block runs, whatever the window: its output
+    max and min, taken while it is still in cache, give the returned
+    buffer's peak over the whole track, and show a NaN or Inf (a finite
     input near the float range can overflow the filter).
 
+    `window` is (first_row, n_rows): the returned buffer holds track rows
+    first_row..first_row + n_rows, with zeros where that runs past either
+    end of the track. None is (0, the track's length).
+
     Raises:
-        ValueError: non-positive target rate, empty input, or an output
-            sample that overflowed.
+        ValueError: non-positive target rate, empty input, negative window
+            length, or an output sample that overflowed.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     n_in = source.n_frames
     if n_in == 0:
         raise ValueError("cannot resample an empty buffer")
+    n_out = resampled_length(n_in, source.sample_rate_hz, target_rate)
+    first, n_rows = (0, n_out) if window is None else window
+    if n_rows < 0:
+        raise ValueError(f"window length must not be negative, got {n_rows}")
+    out = _mapped_empty(n_rows)
+    a = min(max(-first, 0), n_rows)
+    out[:a] = 0.0  # rows before the track
+    out[max(min(n_out - first, n_rows), a) :] = 0.0  # rows after it
     peaks = []  # one per block or span; list.append is atomic across threads
     if target_rate == source.sample_rate_hz:
-        out = np.empty(n_in)
-        for lo, hi in _spans(n_in):
-            peaks.append(_abs_peak(source.frames(lo, hi, out=out[lo:hi])))
+        spans = _spans(n_in)
+        scratch = _mapped_empty(spans[0][1])  # mapped, as run's scratch below is
+        for lo, hi in spans:
+            seg = source.frames(lo, hi, out=scratch)
+            peaks.append(_abs_peak(seg))
+            _keep(out, first, lo, seg)
         return _with_peak(AudioBuffer(out, source.sample_rate_hz, _known_finite=True), peaks)
 
     g = math.gcd(int(target_rate), source.sample_rate_hz)
     up = int(target_rate) // g
     down = source.sample_rate_hz // g
-    n_out = (2 * n_in * up + down) // (2 * down)  # round-half-up of n_in*up/down
 
     n_fade = min(RESAMPLE_FADE_SAMPLES, n_in // 2)
     ramp = 0.5 - 0.5 * np.cos(np.pi * (np.arange(n_fade) + 0.5) / n_fade)
-    # Period k's outputs form row k of `table`. Its input span starts k*down
-    # samples after period 0's, which starts taps/2 zeros before the track.
+    # Period k's outputs are track rows k*cols.. (k + 1)*cols. Its input span starts
+    # k*down samples after period 0's, which starts taps/2 zeros before the track.
     cols = max(1, min(up, n_out))  # one branch even when no output is due
     groups = _branch_groups(up, down, cols)
     last_offset, *_, last_kernel = groups[-1]
     width = last_offset + len(last_kernel)  # input span of one period
     n_per = -(-n_out // cols)
-    out = np.empty(n_per * cols)
-    table = out.reshape(n_per, cols)
+    block_periods = min(RESAMPLE_BLOCK_PERIODS, n_per)
 
     def run(block_starts):
         # Scratch per thread: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB) of kernel
-        # rows, and one block's input span.
-        tmp = np.empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
-        span = np.empty(max(0, min(RESAMPLE_BLOCK_PERIODS, n_per) - 1) * down + width)
+        # rows, one block's input span, and one block's output periods, a row each. Each is
+        # mapped (see _mapped_empty), so its pages go back to the OS when the call ends.
+        tmp = _mapped_empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
+        span = _mapped_empty(max(0, block_periods - 1) * down + width)
+        table = _mapped_empty(block_periods * cols).reshape(block_periods, cols)
         for p0 in block_starts:
             rows = min(RESAMPLE_BLOCK_PERIODS, n_per - p0)
             lo = p0 * down - RESAMPLE_TAPS_PER_PHASE // 2
@@ -506,13 +539,13 @@ def resample(source, target_rate: int) -> AudioBuffer:
                 for offset, ja, jb, kernel in groups:
                     block = tmp[: rows * len(kernel)].reshape(rows, len(kernel))
                     np.copyto(block, spans[:, offset : offset + len(kernel)])
-                    np.matmul(block, kernel, out=table[p0 : p0 + rows, ja:jb])
-            done = out[p0 * cols : min((p0 + rows) * cols, n_out)]  # the block's rows, as far as they are kept
-            if len(done):
-                peaks.append(_abs_peak(done))
+                    np.matmul(block, kernel, out=table[:rows, ja:jb])
+            done = table.reshape(-1)[: min(rows * cols, n_out - p0 * cols)]  # the block's rows within the track
+            peaks.append(_abs_peak(done))
+            _keep(out, first, p0 * cols, done)
 
     block_helpers.run_blocks(run, range(0, n_per, RESAMPLE_BLOCK_PERIODS))
-    return _with_peak(AudioBuffer(out[:n_out], int(target_rate), _known_finite=True), peaks)
+    return _with_peak(AudioBuffer(out, int(target_rate), _known_finite=True), peaks)
 
 
 def _with_peak(buf: AudioBuffer, peaks) -> AudioBuffer:
@@ -562,29 +595,42 @@ def center_trim(buf: AudioBuffer, duration_s: float) -> AudioBuffer:
     n_out = _round_half_up(duration_s * buf.sample_rate_hz)
     n_in = len(buf.samples)
     if n_in < n_out:
-        raise TooShortError(
-            f"input is {n_in / buf.sample_rate_hz:.3f} s, need {duration_s:.3f} s"
-        )
+        raise TooShortError(_too_short(n_in, buf.sample_rate_hz, duration_s))
     start = (n_in - n_out) // 2
-    clip = _mapped_empty(n_out)  # a copy, outside the C heap
-    clip[:] = buf.samples[start : start + n_out]
-    return AudioBuffer(clip, buf.sample_rate_hz)
+    return AudioBuffer(buf.samples[start : start + n_out].copy(), buf.sample_rate_hz)
+
+
+def _too_short(n_in: int, rate: int, duration_s: float) -> str:
+    return f"input is {n_in / rate:.3f} s, need {duration_s:.3f} s"
 
 
 def preprocess(source, spec: PreprocessSpec) -> AudioBuffer:
     """Run resample -> peak normalize -> center trim on an AudioBuffer or a WavFile (see PreprocessSpec).
 
-    The gain comes from the whole resampled track, whose peak resample took
-    block by block, but scales only the clip, which equals
+    resample returns only the clip's rows: the middle clip of the resampled
+    track, or with pad_short a shorter track centred in zeros. The gain comes
+    from the whole track's peak, which resample took block by block, and
+    scales the clip in place; the clip equals
     center_trim(peak_normalize(resample(decode_wav(b)))) bit for bit.
+
+    Raises:
+        ValueError: resample's own errors, first.
+        SilentAudioError: the track has no peak to normalize.
+        TooShortError: the resampled track is shorter than the clip, without pad_short.
     """
-    out = resample(source, spec.target_sample_rate_hz)
-    gain = _gain(out._peak, spec.target_peak_dbfs)
+    rate = spec.target_sample_rate_hz
+    n_out = resampled_length(source.n_frames, source.sample_rate_hz, rate)
     n_clip = spec.clip_samples
-    if spec.pad_short and len(out.samples) < n_clip:
-        left = (n_clip - len(out.samples)) // 2
-        right = n_clip - len(out.samples) - left
-        out = AudioBuffer(np.pad(out.samples, (left, right)), out.sample_rate_hz)
-    clip = center_trim(out, spec.clip_duration_s)
-    clip.samples *= gain  # center_trim returned a copy; |clip| * gain stays within the target peak
-    return clip
+    too_short = n_out < n_clip and not spec.pad_short
+    if too_short:
+        window = (0, 0)  # resample still runs, for its errors and the peak
+    elif n_out >= n_clip:
+        window = ((n_out - n_clip) // 2, n_clip)
+    else:
+        window = (-((n_clip - n_out) // 2), n_clip)  # zero-padded evenly on both sides
+    out = resample(source, rate, window)
+    gain = _gain(out._peak, spec.target_peak_dbfs)
+    if too_short:
+        raise TooShortError(_too_short(n_out, rate, spec.clip_duration_s))
+    out.samples *= gain  # |clip| * gain stays within the target peak
+    return AudioBuffer(out.samples, rate, _known_finite=True)

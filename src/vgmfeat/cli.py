@@ -102,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pad-short", action="store_true", help="zero-pad tracks shorter than the clip")
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="tracks processed concurrently; a helper thread per core beyond the first takes "
-                            "resampling blocks from any track, and with 1 job also reads and decodes the next "
-                            "track, one track ahead, while this one is analyzed (default %(default)s)")
+                            "resampling blocks from any track, and with 1 job also reads the next track's bytes "
+                            "and parses its header, one track ahead, while this one is analyzed "
+                            "(default %(default)s)")
 
     def add_analysis(p):
         p.add_argument("--n-fft", type=int, default=StftParams.n_fft, help="FFT frame length (default %(default)s)")

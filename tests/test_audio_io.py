@@ -680,6 +680,11 @@ def block_frames(src, dst):
     return RESAMPLE_BLOCK_PERIODS * src // np.gcd(src, dst)
 
 
+def block_rows(src, dst):
+    """Output rows per resampler block (per span of resample's copy at the identity rate)."""
+    return block_frames(src, dst) * dst // src
+
+
 def outcome(call):
     """call()'s rate and sample bits, or the type and message of the error it raised."""
     try:
@@ -705,8 +710,9 @@ class TestParsedWavEqualsDecodedBuffer:
         pad_short=st.booleans(),
         spike_in_fade=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
     )
-    def test_bit_identical(self, codec, channels, pair, length, pad_short, spike_in_fade, seed):
+    def test_bit_identical(self, codec, channels, pair, length, pad_short, spike_in_fade, seed, data):
         src, dst = pair
         n = length[0] * block_frames(src, dst) + length[1] if isinstance(length, tuple) else length
         rng = np.random.default_rng(seed)
@@ -714,15 +720,20 @@ class TestParsedWavEqualsDecodedBuffer:
         if spike_in_fade:
             x[min(10, n - 1)] = 0.9  # the peak, inside the first fade
         if codec == "float32":
-            data = wav_bytes(x.astype("<f4").tobytes(), 3, channels, src, 32)
+            wav_data = wav_bytes(x.astype("<f4").tobytes(), 3, channels, src, 32)
         else:
             bits = int(codec[3:])
-            data = wav_bytes(pcm_bytes(np.round(x * 2 ** (bits - 1)), bits), 1, channels, src, bits)
+            wav_data = wav_bytes(pcm_bytes(np.round(x * 2 ** (bits - 1)), bits), 1, channels, src, bits)
         n_out = (2 * n * dst + src) // (2 * src)
-        clip = n_out + 7 if pad_short else max(1, n_out // 2)
+        # The clip's first row is (n_out - clip) // 2 and its last n_out - 1 - that for clip = n_out - 2 * first.
+        edges = [e + d for e in range(0, n_out + 2, block_rows(src, dst)) for d in (-1, 0, 1)]
+        clips = [n_out // 2, n_out, n_out + 1, n_out + 7]  # longer clips are padded with pad_short, else rejected
+        clips += [n_out - 2 * first for first in edges if first >= 0]
+        clips += [2 * (last + 1) - n_out for last in edges if last < n_out]
+        clip = data.draw(st.sampled_from(sorted(c for c in set(clips) if c >= 1)), label="clip")
         spec = PreprocessSpec(-3.0, clip / dst, dst, pad_short)
 
-        wav, buf = parse_wav(data), decode_wav(data)
+        wav, buf = parse_wav(wav_data), decode_wav(wav_data)
         assert (wav.n_frames, wav.sample_rate_hz) == (len(buf.samples), buf.sample_rate_hz)
         assert outcome(lambda: resample(wav, dst)) == outcome(lambda: resample(buf, dst))
         assert outcome(lambda: preprocess(wav, spec)) == outcome(lambda: composed(buf, spec))
@@ -738,6 +749,38 @@ class TestParsedWavEqualsDecodedBuffer:
         assert y._peak == np.abs(y.samples).max()
         spec = PreprocessSpec(-5.0, len(y.samples) / dst, dst)
         assert preprocess(AudioBuffer(noise_with_spike(n, n // 2), src), spec)._peak is None
+
+
+class TestResampleWindow:
+    """A windowed resample is the whole track's rows in that window, zero outside the track, with the same peak."""
+
+    @pytest.mark.parametrize("helpers", [0, 1])
+    @pytest.mark.parametrize("src, dst", ORACLE_PAIRS + [(44100, 22050)])
+    def test_equals_zero_padded_slice(self, src, dst, helpers, monkeypatch):
+        monkeypatch.setattr(audio_io.block_helpers, "helpers", helpers)
+        # Buffers start as NaN, not as a fresh mapping's zeros, so every row must be written.
+        monkeypatch.setattr(audio_io, "_mapped_empty", lambda n: np.full(n, np.nan))
+        buf = AudioBuffer(noise_with_spike(2 * block_frames(src, dst) + 321, 1000), src)
+        full = resample(buf, dst)
+        n_out, edge = len(full.samples), block_rows(src, dst)
+        windows = [(n_out // 3, n_out // 3), (0, n_out), (-37, 200), (-5, n_out + 10), (n_out - 50, 200),
+                   (n_out + 10, 30), (-100, 50), (0, 0), (n_out // 2, 0)]
+        for k in (1, 2):
+            for d in (-1, 0, 1):
+                windows += [(k * edge + d, 100), (k * edge + d - 100, 100), (k * edge + d - 1000, 2000)]
+        for first, n_rows in windows:
+            want = np.zeros(n_rows)
+            a = min(max(first, 0), n_out)
+            b = max(min(first + n_rows, n_out), a)
+            want[a - first : b - first] = full.samples[a:b]
+            got = resample(buf, dst, (first, n_rows))
+            assert got.sample_rate_hz == dst
+            assert got.samples.tobytes() == want.tobytes(), (first, n_rows)
+            assert got._peak == full._peak
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            resample(AudioBuffer(np.ones(100), 44100), 48000, (0, -1))
 
 
 class TestValidation:

@@ -176,28 +176,29 @@ class TestExtractCommand:
 
     def test_next_track_loads_once_the_last_is_preprocessed(self, small_corpus, tmp_path, monkeypatch):
         # Tracks run in order at --jobs 1, so the k-th call of each stage is track k.
-        events, parsed, resampled, helper_loads = [], [], [], []
+        events, parsed, resampled, clip_samples, helper_loads = [], [], [], [], []
         real_parse, real_preprocess, real_resample = dataset.parse_wav, dataset.preprocess, audio_io.resample
 
         def parse(data):
             k = sum(event == "parse" for event, _ in events)
-            # Nothing of the track before may be alive: not its parsed file, which holds the
-            # file's bytes (bytes cannot be weakly referenced), nor its resampled samples.
+            # The track before's parsed file, which holds the file's bytes (bytes cannot be
+            # weakly referenced), may not be alive; its clip is, for the analysis.
             events.append(("parse", k))
             if k:
                 helper_loads.append(threading.current_thread() is not threading.main_thread())
-                events.append(("previous track freed", parsed[k - 1]() is None and resampled[k - 1]() is None))
+                events.append(("previous track freed", parsed[k - 1]() is None))
             wav = real_parse(data)
             parsed.append(weakref.ref(wav))
             return wav
 
-        def resample(source, rate):
-            out = real_resample(source, rate)
-            resampled.append(weakref.ref(out.samples))
+        def resample(source, rate, window=None):
+            out = real_resample(source, rate, window)
+            resampled.append(len(out.samples))
             return out
 
         def preprocess(source, pre):
             clip = real_preprocess(source, pre)
+            clip_samples.append(pre.clip_samples)
             events.append(("preprocessed", sum(event == "preprocessed" for event, _ in events)))
             return clip
 
@@ -210,6 +211,8 @@ class TestExtractCommand:
         assert order == [("parse", 0)] + [event for k in range(1, 9) for event in
                                           [("preprocessed", k - 1), ("parse", k)]] + [("preprocessed", 8)]
         assert [freed for event, freed in events if event == "previous track freed"] == [True] * 8
+        # Each track's resample returned its clip's rows and no others.
+        assert len(resampled) == 9 and resampled == clip_samples
         # Each later track is loaded on the helper, unless the helper had not started when it was needed.
         assert any(helper_loads)
 

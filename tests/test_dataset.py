@@ -301,19 +301,19 @@ class TestTrackMemory:
         path = tmp_path / "hires.wav"
         path.write_bytes(wav_bytes(pcm_bytes(np.random.default_rng(24).integers(-2**23, 2**23, (n, 2)), 24),
                                    1, 2, rate, 24))
-        # The clip made on the heap, where tracemalloc sees it, not in a mapping of its own.
+        # The clip and the resampler's scratch made on the heap, where tracemalloc sees them, not in mappings.
         monkeypatch.setattr(audio_io, "_mapped_empty", np.empty, raising=False)
         pre = PreprocessSpec()
-        n_out = 20 * pre.target_sample_rate_hz
         tracemalloc.start()
         try:
             dataset.process_track(path, pre, "x", lambda clip: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The file, the resampled track and the clip, plus the resampler's per-thread scratch
-        # (0.75 MB over these on one thread): the track decoded to float64 mono would add 7.7 MB.
-        bound = path.stat().st_size + 8 * n_out + 8 * pre.clip_samples
+        # The file and the clip, plus the resampler's per-thread scratch (1.3 MB over these with
+        # one helper): the track decoded to float64 mono would add 7.7 MB, and resampled in full
+        # 7.7 MB more.
+        bound = path.stat().st_size + 8 * pre.clip_samples
         assert peak < bound + 2**20 * (2 + audio_io.block_helpers.helpers), f"{(peak - bound) / 2**20:.2f} MB over"
 
 
