@@ -6,7 +6,7 @@ import functools
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,10 @@ class AnalysisSpec:
 
     def __post_init__(self):
         # The MFCC keeps the first n_mfcc DCT coefficients of the n_mels log bands.
+        if self.n_mels < 1:
+            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
+        if self.n_mfcc < 1:
+            raise ValueError(f"n_mfcc must be >= 1, got {self.n_mfcc}")
         if self.n_mfcc > self.n_mels:
             raise ValueError(f"n_mfcc must be <= n_mels ({self.n_mels}), got {self.n_mfcc}")
 
@@ -162,16 +166,24 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     Returns (row, series): row is the float64 feature vector in
     feature_names(spec.n_mfcc) order, and series maps feature kind to the
     per-frame FrameSeries behind its aggregates.
-    """
-    mag = stft(buf, spec.stft)
-    power = mag.to_power()
 
+    The magnitude spectrogram is the one clip-sized array: the extractors that
+    read the magnitude run first, then it is squared in place into the power
+    that chroma and the mel bands read. Elementwise steps and per-frame
+    reductions (the STFT, the onset flux) run in frame blocks; the matrix
+    products (centroid, chroma fold, mel bank) take the whole spectrogram,
+    since splitting one by frame columns changes the low bits of its sums.
+    """
     zcr = zero_crossing_rate(buf, spec.stft.n_fft, spec.stft.hop)
+    mag = stft(buf, spec.stft)
     cent = spectral_centroid(mag)
+    tempo = tempo_from_spectrogram(mag)
+    # np.square gives the bits of mag**2 without a second clip-sized array.
+    power = replace(mag, values=np.square(mag.values, out=mag.values), kind="power")
+    del mag
     chrom = chroma(power)
     bank = mel_filterbank(buf.sample_rate_hz, spec.stft.n_fft, spec.n_mels)
     ceps = mfcc(apply_filterbank(power, bank), spec.n_mfcc)
-    tempo = tempo_from_spectrogram(mag)
 
     row = np.concatenate([
         [tempo.bpm, zcr.values.mean(), zcr.values.std(), cent.values.mean(), cent.values.std()],

@@ -7,7 +7,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .errors import NoTempoError
-from .spectral import Spectrogram, StftParams, stft
+from .spectral import STFT_BLOCK_FRAMES, Spectrogram, StftParams, stft
 
 CHROMA_REFERENCE_HZ = 440.0  # A4
 CHROMA_FMIN_HZ = 32.7  # C1; bins below carry no usable pitch information
@@ -53,10 +53,13 @@ def zero_crossing_rate(
     if len(x) < frame_len:
         raise ValueError(f"buffer has {len(x)} samples, need at least frame_len={frame_len}")
     negative = x < 0
-    crossings = (negative[1:] != negative[:-1]).astype(np.float64)
-    # pair t belongs to the frames covering samples (t, t+1)
-    frames = np.lib.stride_tricks.sliding_window_view(crossings, frame_len - 1)[::hop]
-    rates = frames.sum(axis=1) / (frame_len - 1)
+    crossings = np.flatnonzero(negative[1:] != negative[:-1])
+    # Pair t belongs to the frames covering samples (t, t+1). The number of
+    # crossings before pair p is the integer prefix count searchsorted(crossings, p),
+    # so each frame's count is the exact difference of two of them.
+    starts = np.arange(1 + (len(x) - frame_len) // hop) * hop
+    counts = np.searchsorted(crossings, starts + frame_len - 1) - np.searchsorted(crossings, starts)
+    rates = counts / (frame_len - 1)
     return FrameSeries(rates[None, :], "zcr")
 
 
@@ -120,12 +123,23 @@ def mfcc(mel_power: np.ndarray, n_mfcc: int) -> FrameSeries:
 
 
 def onset_envelope(spec: Spectrogram) -> np.ndarray:
-    """Positive spectral flux: half-wave-rectified magnitude increase per frame."""
+    """Positive spectral flux: half-wave-rectified magnitude increase per frame.
+
+    The flux is taken STFT_BLOCK_FRAMES frames at a time (each block reads one
+    frame past its end) into one reused scratch array laid out like the
+    spectrogram, so each frame's sum over bins runs in the same order as over
+    a whole-clip flux, and no full-size array is made.
+    """
     if spec.kind != "magnitude":
         raise ValueError(f"onset envelope expects a magnitude spectrogram, got {spec.kind!r}")
     mag = spec.values
-    flux = mag[:, 1:] - mag[:, :-1]
-    return np.maximum(flux, 0.0, out=flux).sum(axis=0)
+    envelope = np.empty(mag.shape[1] - 1)
+    flux = np.empty((mag.shape[0], min(STFT_BLOCK_FRAMES, len(envelope))), order="F")
+    for f0 in range(0, len(envelope), STFT_BLOCK_FRAMES):
+        f1 = min(f0 + STFT_BLOCK_FRAMES, len(envelope))
+        block = np.subtract(mag[:, f0 + 1 : f1 + 1], mag[:, f0:f1], out=flux[:, : f1 - f0])
+        np.maximum(block, 0.0, out=block).sum(axis=0, out=envelope[f0:f1])
+    return envelope
 
 
 def tempo_bpm(
@@ -174,15 +188,21 @@ def min_clip_samples(params: StftParams, sample_rate_hz: int, bpm_range: tuple =
 
 def tempo_from_spectrogram(spec: Spectrogram, bpm_range: tuple = DEFAULT_TEMPO_RANGE_BPM) -> TempoEstimate:
     """Tempo search on an existing magnitude spectrogram (see tempo_bpm)."""
+    return tempo_from_envelope(onset_envelope(spec), spec.params, spec.sample_rate_hz, bpm_range)
+
+
+def tempo_from_envelope(
+    envelope: np.ndarray, params: StftParams, sample_rate_hz: int, bpm_range: tuple = DEFAULT_TEMPO_RANGE_BPM
+) -> TempoEstimate:
+    """Tempo search on the onset envelope of a spectrogram with these params (see tempo_bpm)."""
     low, high = bpm_range
-    envelope = onset_envelope(spec)
     if not np.any(envelope > 0):
         raise NoTempoError("onset envelope is silent, no tempo to estimate")
 
     # Low-pass the envelope before autocorrelating: onsets falling between
     # envelope frames otherwise sample into unequal bumps, which deflates the
     # true beat lag and hands the argmax to a multiple of it.
-    smooth_len = min(2 * (spec.params.n_fft // spec.params.hop) + 1, len(envelope))
+    smooth_len = min(2 * (params.n_fft // params.hop) + 1, len(envelope))
     if smooth_len % 2 == 0:
         smooth_len -= 1
     kernel = np.hanning(smooth_len + 2)[1:-1]
@@ -190,7 +210,7 @@ def tempo_from_spectrogram(spec: Spectrogram, bpm_range: tuple = DEFAULT_TEMPO_R
     centered -= centered.mean()
     ac = np.correlate(centered, centered, mode="full")[len(centered) - 1 :]
 
-    frame_rate = spec.frame_rate_hz
+    frame_rate = sample_rate_hz / params.hop
     lag_min, lag_max = _beat_lags(frame_rate, bpm_range)
     lag_max = min(len(ac) - 1, lag_max)
     if lag_min > lag_max:

@@ -80,20 +80,38 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
     The magnitude is one frames x bins array, returned transposed. It is
     filled on the calling thread in blocks of STFT_BLOCK_FRAMES frames, each
     windowed into one reused scratch array, so no full-size temporary is made.
+    Interior blocks read their frames straight from the clip; only a block
+    that reaches past either end reflect-pads a copy of the samples it reads.
+    A clip of n_fft/2 samples or fewer, which numpy reflects more than once,
+    is padded whole. Blocks cannot move a bit, as every step is per frame; a
+    matrix product over frames could not be split so, since its sums change
+    their low bits with the operand's shape.
     """
     x = buf.samples
     if len(x) == 0:
         raise ValueError("cannot analyze an empty buffer")
     n_fft, hop = params.n_fft, params.hop
     n_frames = 1 + len(x) // hop
-    padded = np.pad(x, n_fft // 2, mode="reflect") if len(x) > 1 else np.pad(x, n_fft // 2)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
+    half = n_fft // 2
+    if len(x) <= half:
+        x = np.pad(x, half, mode="reflect" if len(x) > 1 else "constant")
+        half = 0
     window = make_window(params.window, n_fft)
     mag = np.empty((n_frames, n_fft // 2 + 1))
     windowed = np.empty((min(STFT_BLOCK_FRAMES, n_frames), n_fft))
     for f0 in range(0, n_frames, STFT_BLOCK_FRAMES):
         f1 = min(f0 + STFT_BLOCK_FRAMES, n_frames)
-        block = np.multiply(frames[f0:f1], window, out=windowed[: f1 - f0])
+        # The block reads samples lo..hi of the clip; a padded sample -i is x[i], n-1+i is x[n-1-i].
+        lo, hi = f0 * hop - half, (f1 - 1) * hop - half + n_fft
+        left, right = max(0, -lo), max(0, hi - len(x))
+        if left or right:
+            # Take enough samples to reflect, even where the frames read fewer.
+            a, b = min(lo + left, len(x) - 1 - right), max(min(hi, len(x)), left + 1)
+            samples = np.pad(x[a:b], (left, right), mode="reflect")[lo + left - a :]
+        else:
+            samples = x[lo:hi]
+        frames = np.lib.stride_tricks.sliding_window_view(samples, n_fft)[::hop]
+        block = np.multiply(frames[: f1 - f0], window, out=windowed[: f1 - f0])
         np.abs(np.fft.rfft(block, axis=1), out=mag[f0:f1])
     return Spectrogram(mag.T, params, buf.sample_rate_hz, "magnitude")
 

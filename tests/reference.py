@@ -1,13 +1,19 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately naive (direct sums, Python loops) and
-shares no code with the library paths it checks.
+Everything here is deliberately naive (direct sums, Python loops, whole-clip
+arrays) and shares no code with the library paths it checks.
+one_shot_analysis is the one composition: it checks how analyze_clip blocks
+and reuses its buffers, so it calls the library's matrix-product extractors
+and tempo search on whole-clip arrays built here.
 """
 
 import io
 import math
 
 import numpy as np
+
+from vgmfeat.features import chroma, mfcc, spectral_centroid, tempo_from_envelope
+from vgmfeat.spectral import Spectrogram, apply_filterbank, make_window, mel_filterbank
 
 
 def naive_rdft(frame):
@@ -44,6 +50,40 @@ def one_shot_stft(samples, n_fft, hop, window):
     padded = np.pad(samples, n_fft // 2, mode="reflect" if len(samples) > 1 else "constant")
     frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][:n_frames]
     return np.abs(np.fft.rfft(frames * window, axis=1)).T
+
+
+def sliding_sum_zcr(samples, frame_len, hop):
+    """Zero-crossing rates as float sums of the sign changes in each frame's sliding window of pairs."""
+    negative = np.asarray(samples) < 0
+    crossings = (negative[1:] != negative[:-1]).astype(np.float64)
+    frames = np.lib.stride_tricks.sliding_window_view(crossings, frame_len - 1)[::hop]
+    return frames.sum(axis=1) / (frame_len - 1)
+
+
+def one_shot_analysis(samples, spec, sample_rate_hz):
+    """analyze_clip's (row, series) from whole-clip arrays.
+
+    One rfft call for the magnitude, mag**2 as a second array, the onset
+    flux of every frame at once and the sliding-sum zero-crossing rates.
+    """
+    params = spec.stft
+    zcr = sliding_sum_zcr(samples, params.n_fft, params.hop)[None, :]
+    mag = one_shot_stft(samples, params.n_fft, params.hop, make_window(params.window, params.n_fft))
+    magnitude = Spectrogram(mag, params, sample_rate_hz, "magnitude")
+    power = Spectrogram(mag**2, params, sample_rate_hz, "power")
+    cent = spectral_centroid(magnitude).values
+    envelope = np.maximum(mag[:, 1:] - mag[:, :-1], 0.0).sum(axis=0)
+    bpm = tempo_from_envelope(envelope, params, sample_rate_hz).bpm
+    chrom = chroma(power).values
+    ceps = mfcc(apply_filterbank(power, mel_filterbank(sample_rate_hz, params.n_fft, spec.n_mels)), spec.n_mfcc).values
+    row = np.concatenate([
+        [bpm, zcr.mean(), zcr.std(), cent.mean(), cent.std()],
+        chrom.mean(axis=1),
+        ceps.mean(axis=1),
+        ceps.max(axis=1) - ceps.min(axis=1),
+    ])
+    series = {"zcr": zcr, "centroid": cent, "chroma": chrom, "mfcc": ceps, "onset": envelope[None, :]}
+    return row, series
 
 
 def naive_dct2_ortho(x):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vgmfeat import audio_io, dataset
 from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, block_helpers, encode_wav
@@ -34,11 +34,18 @@ from vgmfeat.features import (
     spectral_centroid,
     tempo_from_spectrogram,
 )
-from vgmfeat.spectral import StftParams, apply_filterbank, mel_filterbank, stft
+from vgmfeat.spectral import (
+    STFT_BLOCK_FRAMES,
+    WINDOW_FUNCTIONS,
+    StftParams,
+    apply_filterbank,
+    mel_filterbank,
+    stft,
+)
 from vgmfeat.synth import make_click_track, write_corpus
 
 from conftest import pcm_bytes, sine, wav_bytes
-from reference import savetxt_series_csv
+from reference import one_shot_analysis, savetxt_series_csv
 
 GENRES = ("adventure_rpg", "action_rpg", "strategy_rpg")
 
@@ -57,6 +64,21 @@ def table(matrix, labels):
 def by_name(row, n_mfcc=13):
     """A feature row as a dict keyed by feature_names(n_mfcc)."""
     return dict(zip(feature_names(n_mfcc), row, strict=True))
+
+
+class TestAnalysisSpec:
+    @pytest.mark.parametrize("counts, message", [
+        ({"n_mfcc": 0}, "n_mfcc must be >= 1, got 0"),
+        ({"n_mels": 0, "n_mfcc": 0}, "n_mels must be >= 1, got 0"),
+        ({"n_mels": -3}, "n_mels must be >= 1, got -3"),
+        ({"n_mfcc": 14, "n_mels": 13}, "n_mfcc must be <= n_mels"),
+    ])
+    def test_counts_checked_at_construction(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            AnalysisSpec(**counts)
+
+    def test_one_band_one_coefficient_is_accepted(self):
+        assert AnalysisSpec(n_mfcc=1, n_mels=1).n_mels == 1
 
 
 class TestGenreLabel:
@@ -149,6 +171,45 @@ class TestFeatureRow:
         assert submitted == []
 
 
+class TestAnalysisOracle:
+    """analyze_clip's blocks and reused buffers against whole-clip arrays, bit for bit."""
+
+    # At a rate of 4 hops per second the shortest beat lag is 2 frames, so every clip
+    # of 3 hops and n_fft samples has a tempo; shorter clips fail in both.
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(256, 64), (256, 96), (512, 128), (128, 128)]),  # 96 does not divide 256
+        window=st.sampled_from(WINDOW_FUNCTIONS),
+        anchor=st.sampled_from(["one", "half", "n_fft", "block", "blocks"]),
+        offset=st.integers(-1, 1),
+        frames=st.integers(2 * STFT_BLOCK_FRAMES, 6 * STFT_BLOCK_FRAMES),
+    )
+    @example(shape=(256, 96), window="hamming", anchor="block", offset=1, frames=0)
+    @example(shape=(256, 96), window="hann", anchor="blocks", offset=0, frames=3 * STFT_BLOCK_FRAMES)
+    @example(shape=(256, 64), window="rectangular", anchor="n_fft", offset=1, frames=0)
+    @example(shape=(512, 128), window="hann", anchor="block", offset=-1, frames=0)
+    @example(shape=(128, 128), window="hamming", anchor="half", offset=1, frames=0)
+    def test_matches_whole_clip_oracle(self, shape, window, anchor, offset, frames):
+        params = StftParams(*shape, window)
+        hop = params.hop
+        n = {"one": 1, "half": params.n_fft // 2 + offset, "n_fft": params.n_fft + offset,
+             "block": STFT_BLOCK_FRAMES * hop + offset, "blocks": frames * hop + offset}[anchor]
+        rate = 4 * hop
+        spec = AnalysisSpec(params, n_mfcc=5, n_mels=24)
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        try:
+            want_row, want_series = one_shot_analysis(x, spec, rate)
+        except ValueError:
+            with pytest.raises(ValueError):
+                analyze_clip(AudioBuffer(x, rate), spec)
+            return
+        row, series = analyze_clip(AudioBuffer(x, rate), spec)
+        assert np.array_equal(row, want_row), f"{n} samples"
+        assert series.keys() == want_series.keys()
+        for kind, values in want_series.items():
+            assert np.array_equal(series[kind].values, values), f"{kind}, {n} samples"
+
+
 def analysis_clip():
     """15 s at 48 kHz of clicks over a tone, and the bytes of its magnitude spectrogram."""
     clip = make_click_track(120.0, 15.0, 48000, rng=np.random.default_rng(21))
@@ -169,19 +230,26 @@ def traced_peak(call):
 
 class TestAnalysisMemory:
     @pytest.mark.parametrize("helpers", [0, 1])
-    def test_peak_stays_within_three_and_a_half_magnitudes(self, helpers, monkeypatch):
-        # The magnitude, its power and the onset flux are the full-size arrays analyze_clip needs,
-        # with or without block helpers.
+    def test_peak_stays_within_one_point_six_magnitudes(self, helpers, monkeypatch):
+        # The magnitude, squared in place into the power, is the one full-size array
+        # analyze_clip holds, with or without block helpers; measured at 1.48 magnitudes.
         monkeypatch.setattr(block_helpers, "helpers", helpers)
         clip, mag_bytes = analysis_clip()
         peak = traced_peak(lambda: analyze_clip(clip))
-        assert peak <= 3.5 * mag_bytes, f"{peak / mag_bytes:.2f} magnitudes"
+        assert peak <= 1.6 * mag_bytes, f"{peak / mag_bytes:.2f} magnitudes"
 
-    # Each extractor's own peak, measured at 0.041 (chroma), 0.004 (centroid), 1.0004
-    # (tempo: the onset flux) and 0.376 (mel bands plus MFCC) magnitudes. Each bound sits a
-    # quarter magnitude above, so a full-size copy of the spectrogram (one magnitude) shows.
+    def test_stft_holds_the_magnitude_and_block_scratch_alone(self):
+        # Measured at 1.41 magnitudes: the block's windowed frames and spectrum, and the
+        # edge blocks' padded samples. A padded copy of the clip adds about half a magnitude.
+        clip, mag_bytes = analysis_clip()
+        peak = traced_peak(lambda: stft(clip, StftParams()))
+        assert peak <= 1.5 * mag_bytes, f"{peak / mag_bytes:.3f} magnitudes"
+
+    # Each extractor's own peak, measured at 0.041 (chroma), 0.004 (centroid), 0.092
+    # (tempo: one block of onset flux) and 0.376 (mel bands plus MFCC) magnitudes. Each bound
+    # sits 0.15-0.25 magnitude above, so a full-size copy of the spectrogram (one magnitude) shows.
     @pytest.mark.parametrize("extractor, bound", [
-        ("chroma", 0.25), ("spectral_centroid", 0.25), ("tempo_from_spectrogram", 1.25), ("mel_mfcc", 0.625),
+        ("chroma", 0.25), ("spectral_centroid", 0.25), ("tempo_from_spectrogram", 0.25), ("mel_mfcc", 0.625),
     ])
     def test_each_extractor_stays_within_its_own_bound(self, extractor, bound):
         clip, mag_bytes = analysis_clip()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vgmfeat.audio_io import AudioBuffer
 from vgmfeat.errors import NoTempoError
@@ -16,7 +17,7 @@ from vgmfeat.spectral import StftParams, apply_filterbank, mel_filterbank, stft
 from vgmfeat.synth import make_click_track
 
 from conftest import sine
-from reference import count_sign_changes, naive_dct2_ortho, naive_rdft, pitch_class_energy
+from reference import count_sign_changes, naive_dct2_ortho, naive_rdft, pitch_class_energy, sliding_sum_zcr
 
 
 def tone_buffer(freq_hz, duration_s=1.0, sr=48000, amplitude=0.5):
@@ -67,6 +68,22 @@ class TestZeroCrossingRate:
             zero_crossing_rate(AudioBuffer(np.zeros(100), 48000), frame_len=1)
         with pytest.raises(ValueError):
             zero_crossing_rate(AudioBuffer(np.zeros(100), 48000), frame_len=200)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        frame_len=st.integers(2, 600),
+        extra=st.integers(0, 4400),
+        hop=st.integers(1, 700),
+        zero_share=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prefix_counts_equal_sliding_float_sums(self, frame_len, extra, hop, zero_share, seed):
+        # Exact zeros sit on the sign boundary, so drawing some checks that zero counts as non-negative.
+        rng = np.random.default_rng(seed)
+        n = frame_len + extra
+        x = np.where(rng.random(n) < zero_share, 0.0, rng.uniform(-1.0, 1.0, n))
+        got = zero_crossing_rate(AudioBuffer(x, 48000), frame_len, hop).values[0]
+        assert np.array_equal(got, sliding_sum_zcr(x, frame_len, hop))
 
 
 class TestSpectralCentroid:

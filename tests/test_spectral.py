@@ -17,7 +17,7 @@ from vgmfeat.spectral import (
 
 from reference import naive_rdft, one_shot_stft
 
-BLOCK, HOP = STFT_BLOCK_FRAMES, StftParams.hop
+BLOCK = STFT_BLOCK_FRAMES
 
 
 def stft_frame(frame):
@@ -115,25 +115,31 @@ class TestStft:
 class TestBlockedStft:
     """stft's frame blocks against every frame transformed in one call, bit for bit."""
 
-    # n samples give 1 + n // HOP frames.
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    # n samples give 1 + n // hop frames. Near n_fft/2 samples the first and last blocks
+    # both reach past the clip; at n_fft/2 or fewer numpy reflects more than once, and one
+    # sample is zero-padded. Hop 96 does not divide n_fft 256.
+    @settings(derandomize=True, max_examples=80, deadline=None)
     @given(
+        shape=st.sampled_from([(2048, 512), (256, 96), (256, 1), (16, 5), (512, 512)]),
         window=st.sampled_from(WINDOW_FUNCTIONS),
-        n=st.one_of(
-            st.just(1),  # nothing to reflect: zero-padded
-            st.integers(2, (BLOCK - 1) * HOP - 1),  # fewer frames than one block
-            st.integers((BLOCK - 1) * HOP, BLOCK * HOP - 1),  # exactly one block
-            st.integers(BLOCK * HOP, (BLOCK + 1) * HOP - 1),  # one block plus one frame
-            st.integers(2 * BLOCK * HOP, 6 * BLOCK * HOP),  # many blocks
-        ),
+        anchor=st.sampled_from(["half", "n_fft", "frames"]),
+        frames=st.integers(0, 6 * BLOCK),
+        offset=st.integers(-2, 2),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(window="hann", n=1, seed=0)
-    @example(window="hamming", n=(BLOCK - 1) * HOP, seed=0)
-    @example(window="rectangular", n=BLOCK * HOP, seed=0)
-    @example(window="hann", n=4 * BLOCK * HOP - 1, seed=0)
-    def test_matches_one_shot_oracle(self, window, n, seed):
-        params = StftParams(window=window)
+    @example(shape=(2048, 512), window="hann", anchor="frames", frames=0, offset=1, seed=0)
+    @example(shape=(2048, 512), window="hamming", anchor="frames", frames=BLOCK - 1, offset=0, seed=0)
+    @example(shape=(2048, 512), window="rectangular", anchor="frames", frames=BLOCK, offset=0, seed=0)
+    @example(shape=(2048, 512), window="hann", anchor="frames", frames=4 * BLOCK, offset=-1, seed=0)
+    @example(shape=(256, 96), window="hann", anchor="half", frames=0, offset=0, seed=0)
+    @example(shape=(256, 96), window="hamming", anchor="half", frames=0, offset=1, seed=0)
+    @example(shape=(16, 5), window="rectangular", anchor="frames", frames=BLOCK, offset=1, seed=0)
+    # One frame ending at x[n_fft/2 - 1], whose reflection still needs x[n_fft/2].
+    @example(shape=(512, 512), window="hamming", anchor="half", frames=0, offset=2, seed=0)
+    def test_matches_one_shot_oracle(self, shape, window, anchor, frames, offset, seed):
+        params = StftParams(*shape, window)
+        n = {"half": params.n_fft // 2, "n_fft": params.n_fft, "frames": frames * params.hop}[anchor]
+        n = max(1, n + offset)
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         want = one_shot_stft(x, params.n_fft, params.hop, make_window(window, params.n_fft))
         got = stft(AudioBuffer(x, 48000), params).values
