@@ -30,7 +30,7 @@ WAV_STREAMED_SIZE = 0xFFFFFFFF
 # (format tag, bits per sample) pairs decode_wav decodes.
 WAV_CODECS = {
     (WAVE_FORMAT_PCM, 8), (WAVE_FORMAT_PCM, 16), (WAVE_FORMAT_PCM, 24), (WAVE_FORMAT_PCM, 32),
-    (WAVE_FORMAT_IEEE_FLOAT, 32),
+    (WAVE_FORMAT_IEEE_FLOAT, 32), (WAVE_FORMAT_IEEE_FLOAT, 64),
 }
 
 # Windowed-sinc resampler quality knobs: 64 taps per polyphase branch and a
@@ -186,7 +186,8 @@ class WavFile:
 
         Integer samples are scaled by a power of two, which is exact in
         float64: 8-bit unsigned samples as (b - 128) / 128, 16-, 24- and
-        32-bit signed ones by 1/2^(bits-1). Each frame's value depends on that
+        32-bit signed ones by 1/2^(bits-1). Float samples, 32- or 64-bit,
+        convert exactly. Each frame's value depends on that
         frame alone, so any split into spans gives the same samples. The
         result goes into out[:hi - lo] when out is given.
         """
@@ -209,7 +210,7 @@ class WavFile:
         elif self.format_tag == WAVE_FORMAT_PCM:  # 32-bit integers
             np.multiply(np.frombuffer(raw, dtype="<i4"), 2.0**-31, out=x, dtype=np.float64)
         else:
-            x[:] = np.frombuffer(raw, dtype="<f4")
+            x[:] = np.frombuffer(raw, dtype=f"<f{width}")
         if c > 1:
             x.reshape(n, c).mean(axis=1, out=out)
         return out
@@ -218,10 +219,12 @@ class WavFile:
 def parse_wav(data: bytes) -> WavFile:
     """Parse a RIFF/WAVE byte string: check its header and float samples, decode nothing.
 
-    Handles PCM 8-, 16-, 24- and 32-bit and IEEE float-32 data chunks (see
+    Handles PCM 8-, 16-, 24- and 32-bit and IEEE float-32 and -64 data chunks (see
     WavFile.frames). A data chunk sized 0xFFFFFFFF (a streamed file) runs to
     end of file. Float samples are checked for NaN and Inf in spans, with
-    no full-length array.
+    no full-length array. An EXTENSIBLE header's valid-bits field is not
+    read: 24 valid bits in a 32-bit container sit in its top three bytes,
+    so they decode as 32-bit samples to the same values.
 
     Raises:
         WavDecodeError: malformed container; the message names the chunk.
@@ -280,7 +283,7 @@ def parse_wav(data: bytes) -> WavFile:
 
     wav = WavFile(raw, format_tag, n_channels, int(sample_rate), bits)
     if format_tag == WAVE_FORMAT_IEEE_FLOAT:
-        floats = np.frombuffer(raw, dtype="<f4", count=wav.n_frames * n_channels)
+        floats = np.frombuffer(raw, dtype=f"<f{bits // 8}", count=wav.n_frames * n_channels)
         if not all(np.isfinite(floats[lo:hi]).all() for lo, hi in _spans(len(floats))):
             raise WavDecodeError("data chunk holds NaN or Inf samples")
     return wav

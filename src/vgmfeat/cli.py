@@ -2,6 +2,8 @@
 
 Every command writes its outputs plus a run_manifest.json declaring the
 produced files; reruns with the same inputs and flags are byte-identical.
+Outputs are staged in a directory inside --out and moved into place only
+once every one is written (see _commit).
 """
 
 import argparse
@@ -9,6 +11,7 @@ import inspect
 import json
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -45,6 +48,7 @@ from .spectral import StftParams, mel_filterbank
 from . import synth
 
 OUT_DIR_ENV = "VGMFEAT_OUT"
+RUN_MANIFEST = "run_manifest.json"
 COMMANDS = ("preprocess", "extract", "summarize", "classify", "report")
 
 EXIT_OK = 0
@@ -180,39 +184,38 @@ def _map_tracks(paths, worker, jobs):
     return [worker(i, reader) for i in range(len(paths))]
 
 
-def _write(out_dir: Path, name: str, text_or_bytes, produced: list) -> Path:
-    path = out_dir / fs_name(name)
+def _write(stage: Path, name: str, text_or_bytes) -> str:
+    """Write one output file into the staging directory; returns its name."""
+    path = stage / fs_name(name)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(text_or_bytes, bytes):
         path.write_bytes(text_or_bytes)
     else:
         path.write_text(text_or_bytes, encoding="utf-8", newline="\n")
-    produced.append(name)
-    return path
+    return name
 
 
-def _run_preprocess(args, pre: PreprocessSpec, out_dir: Path, produced: list):
+def _run_preprocess(args, pre: PreprocessSpec, stage: Path, produced: list):
     records, base = _load_records(args.manifest)
     encode = partial(encode_wav, sample_format=args.wav_format)
     paths = [track_path(rec, base) for rec in records]
-    payloads = _map_tracks(paths, lambda i, reader: process_track(paths[i], pre, "encode", encode, reader), args.jobs)
-    written = []
-    for i, (rec, payload) in enumerate(zip(records, payloads)):
-        name = f"{i:03d}_{Path(rec.path).stem}.wav"
-        _write(out_dir, name, payload, produced)
-        written.append(replace(rec, path=name))
-    _write(out_dir, "manifest.csv", write_manifest(written), produced)
+
+    def preprocess_one(i, reader):
+        payload = process_track(paths[i], pre, "encode", encode, reader)
+        return _write(stage, f"{i:03d}_{Path(records[i].path).stem}.wav", payload)
+
+    written = _map_tracks(paths, preprocess_one, args.jobs)
+    produced += written
+    produced.append(_write(stage, "manifest.csv", write_manifest(
+        [replace(rec, path=name) for rec, name in zip(records, written)])))
 
 
-def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, produced: list):
+def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, stage: Path, produced: list):
     """extract, summarize, classify and report: one extraction pass, then each command's outputs."""
     command = args.command
     if command == "classify" and args.features_csv:
         table = Path(args.features_csv).read_text(encoding="utf-8-sig")
     else:
-        # Only the commands that write series keep them, and as rendered CSV text: each
-        # worker thread renders its track's series, so the arrays die in the worker, and
-        # the main thread writes every file only once all tracks have succeeded.
         with_series = command in ("summarize", "report")
         records, base = _load_records(args.manifest)
         names = feature_names(spec.n_mfcc)
@@ -230,19 +233,20 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
             # Copy the row into the table: a row kept past its worker pins freed heap memory,
             # which put `report --jobs 2` peak RSS about 20 MB higher in most runs.
             ds.matrix[i], series = extract_track(records[i], pre, spec, base, reader)
-            return {kind: frame_series_csv(fs) for kind, fs in series.items()} if with_series else {}
+            if not with_series:
+                return []
+            # Each series is rendered and written here, one at a time, so no track's text outlives it.
+            stem = f"{i:03d}_{Path(records[i].path).stem}"
+            return [_write(stage, f"series/{stem}_{kind}.csv", frame_series_csv(fs)) for kind, fs in series.items()]
 
-        rendered = _map_tracks([track_path(rec, base) for rec in records], analyze, args.jobs)
+        series_files = _map_tracks([track_path(rec, base) for rec in records], analyze, args.jobs)
         table = write_feature_table_csv(ds)
         if command in ("extract", "report"):
-            _write(out_dir, "features.csv", table, produced)
-            _write(out_dir, "features.json", feature_table_json(ds), produced)
+            produced.append(_write(stage, "features.csv", table))
+            produced.append(_write(stage, "features.json", feature_table_json(ds)))
         if with_series:
-            _write(out_dir, "genre_summary.csv", write_genre_summary_csv(summarize_by_genre(ds)), produced)
-            for i, (rec, series) in enumerate(zip(records, rendered)):
-                stem = f"{i:03d}_{Path(rec.path).stem}"
-                for kind, text in series.items():
-                    _write(out_dir, f"series/{stem}_{kind}.csv", text, produced)
+            produced.append(_write(stage, "genre_summary.csv", write_genre_summary_csv(summarize_by_genre(ds))))
+            produced += [name for files in series_files for name in files]
 
     if command in ("classify", "report"):
         # Parse the rendered table: classifying from memory must equal classifying from features.csv.
@@ -253,8 +257,47 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, out_dir: Path, 
             report = evaluate_loocv(ds, k=args.k)
         else:
             report = evaluate_split(ds, test_fraction=args.test_fraction, seed=args.seed, k=args.k)
-        _write(out_dir, "report.json", report.to_json(), produced)
-        _write(out_dir, "report.txt", report.to_text(), produced)
+        produced.append(_write(stage, "report.json", report.to_json()))
+        produced.append(_write(stage, "report.txt", report.to_text()))
+
+
+def _listed(out_dir: Path) -> set:
+    """The names out_dir's run_manifest.json lists, less any that could reach outside out_dir.
+
+    A missing or unreadable manifest lists nothing. A name that is absolute or
+    has a `..` part is dropped, so a hand-edited manifest cannot name a file
+    outside out_dir.
+    """
+    try:
+        files = json.loads((out_dir / RUN_MANIFEST).read_text(encoding="utf-8"))["files"]
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return set()
+    if not isinstance(files, list):
+        return set()
+    return {name for name in files if isinstance(name, str)
+            and not Path(name).is_absolute() and ".." not in Path(name).parts}
+
+
+def _commit(stage: Path, out_dir: Path, command: str, produced: list):
+    """Move the staged files into out_dir, in `produced` order, and write run_manifest.json last.
+
+    Each move is an os.replace, so every file in out_dir is always whole:
+    its old bytes or its new ones. The files the previous run_manifest.json
+    listed that this run did not produce are removed before the new manifest
+    is written; a file no manifest lists is never touched.
+    """
+    for name in produced:
+        target = out_dir / fs_name(name)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(stage / fs_name(name), target)
+    for name in sorted(_listed(out_dir) - set(produced)):
+        stale = out_dir / fs_name(name)
+        if stale.is_file():
+            stale.unlink()
+            if stale.parent != out_dir and not any(stale.parent.iterdir()):
+                stale.parent.rmdir()  # such as series/, once extract follows summarize
+    manifest = json.dumps({"command": command, "files": produced}, indent=2) + "\n"
+    os.replace(stage / _write(stage, RUN_MANIFEST, manifest), out_dir / RUN_MANIFEST)
 
 
 def _message(exc) -> str:
@@ -333,21 +376,27 @@ def main(argv=None) -> int:
                   f"{spec.stft.hop} needs at least {need} ({need / pre.target_sample_rate_hz:g} s)", file=sys.stderr)
             return EXIT_USAGE
 
+    # Every output is written into a staging directory inside --out, then moved into place
+    # by _commit once all of them are written: a failed run leaves --out as it was.
     out_dir = Path(args.out)
+    stage = out_dir / f".vgmfeat-{os.getpid()}"
     produced: list = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "preprocess":
-            _run_preprocess(args, pre, out_dir, produced)
-        else:
-            _run_analysis(args, pre, spec, out_dir, produced)
-        manifest = json.dumps({"command": args.command, "files": produced}, indent=2) + "\n"
-        _write(out_dir, "run_manifest.json", manifest, produced)
+        stage.mkdir(exist_ok=True)  # a directory of this name is left by a killed run that had this pid
+        try:
+            if args.command == "preprocess":
+                _run_preprocess(args, pre, stage, produced)
+            else:
+                _run_analysis(args, pre, spec, stage, produced)
+            _commit(stage, out_dir, args.command, produced)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
     except (VgmfeatError, OSError, ValueError) as exc:
         _print_error(args.command, exc)
         return EXIT_DATA
 
-    for name in produced:
+    for name in produced + [RUN_MANIFEST]:
         print(f"wrote {out_dir / fs_name(name)}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ and tempo search on whole-clip arrays built here.
 
 import io
 import math
+import struct
 
 import numpy as np
 
@@ -164,6 +165,12 @@ def unsigned_pcm8_to_float_two_pass(values):
     x = np.asarray(values).astype(np.float64) - 128.0
     x /= 128.0
     return x
+
+
+def ieee_float_two_pass(payload, bits):
+    """Little-endian IEEE float samples, 32- or 64-bit, in two passes: struct unpacks each, then float64."""
+    values = [value for (value,) in struct.iter_unpack({32: "<f", 64: "<d"}[bits], payload)]
+    return np.array(values, dtype=np.float64)
 
 
 def sinc_bank(up, down, taps, kaiser_beta):

@@ -32,6 +32,7 @@ from vgmfeat.errors import SilentAudioError, TooShortError, UnsupportedWavError,
 
 from conftest import pcm_bytes, sine, wav_bytes
 from reference import (
+    ieee_float_two_pass,
     naive_dft_magnitudes,
     padded_gemm_resample,
     pcm_to_float_two_pass,
@@ -78,12 +79,15 @@ def padded_gemm(x, src, dst):
                                 RESAMPLE_BLOCK_PERIODS, RESAMPLE_GROUP_SPAN_TAPS)
 
 
-def extensible_wav_bytes(payload, sub_format, channels, rate, bits):
-    """WAVE_FORMAT_EXTENSIBLE container: the codec sits in the 40-byte fmt chunk's sub-format GUID."""
+def extensible_wav_bytes(payload, sub_format, channels, rate, bits, valid_bits=None):
+    """WAVE_FORMAT_EXTENSIBLE container: the codec sits in the 40-byte fmt chunk's sub-format GUID.
+
+    `valid_bits` (default `bits`) is the header's count of meaningful bits in each `bits`-bit container.
+    """
     block = channels * bits // 8
     guid = struct.pack("<H", sub_format) + b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xAA\x00\x38\x9B\x71"
     fmt = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block, block, bits)
-    fmt += struct.pack("<HHI", 22, bits, 0) + guid
+    fmt += struct.pack("<HHI", 22, bits if valid_bits is None else valid_bits, 0) + guid
     return b"".join(
         [
             b"RIFF",
@@ -107,6 +111,10 @@ SAMPLE_WAVS = {
     "extensible": extensible_wav_bytes(np.array([0.5, -0.5], dtype="<f4").tobytes(), 3, 1, 48000, 32),
     "pcm8": wav_bytes(bytes([0, 128, 255, 64]), 1, 1, 8000, 8),
     "pcm32": wav_bytes(pcm_bytes([[-2**31, 5], [0, 2**31 - 1]], 32), 1, 2, 48000, 32),
+    "float64": wav_bytes(np.array([[0.25, -1e-300], [1.5, -2.0]], dtype="<f8").tobytes(), 3, 2, 44100, 64),
+    # 24 valid bits, left-justified in 32-bit containers, as 24-bit recorders write them.
+    "extensible24in32": extensible_wav_bytes(pcm_bytes(np.array([-2**23, 5, 2**23 - 1]) * 256, 32), 1, 1,
+                                             48000, 32, valid_bits=24),
 }
 # Whole files that must fail with a WavDecodeError naming the fmt chunk.
 MALFORMED_WAVS = {
@@ -174,6 +182,25 @@ class TestDecodeWav:
         want = pcm_to_float_two_pass(ints, bits).reshape(-1, channels).mean(axis=1)
         assert np.array_equal(decode_wav(wav_bytes(payload, 1, channels, 44100, bits)).samples, want)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(bits=st.sampled_from([32, 64]), channels=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_float_decode_matches_two_pass(self, bits, channels, data):
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=bits),
+                                    min_size=channels, max_size=64 * channels))
+        payload = np.array(values[: len(values) - len(values) % channels], dtype=f"<f{bits // 8}").tobytes()
+        want = ieee_float_two_pass(payload, bits).reshape(-1, channels).mean(axis=1)
+        got = decode_wav(wav_bytes(payload, 3, channels, 44100, bits)).samples
+        assert np.array_equal(got, want)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(channels=st.sampled_from([1, 2]), data=st.data())
+    def test_24_valid_bits_in_32_bit_extensible_containers(self, channels, data):
+        ints = data.draw(st.lists(st.integers(-2**23, 2**23 - 1), min_size=channels, max_size=64 * channels))
+        ints = np.array(ints[: len(ints) - len(ints) % channels], dtype=np.int64)
+        raw = extensible_wav_bytes(pcm_bytes(ints * 256, 32), 1, channels, 48000, 32, valid_bits=24)
+        want = pcm_to_float_two_pass(ints, 24).reshape(-1, channels).mean(axis=1)
+        assert np.array_equal(decode_wav(raw).samples, want)
+
     def test_float32_passthrough(self):
         x = np.array([0.25, -0.75, 0.0], dtype="<f4")
         buf = decode_wav(wav_bytes(x.tobytes(), 3, 1, 32000, 32))
@@ -230,7 +257,7 @@ class TestDecodeWav:
 
     def test_unsupported_codec(self):
         with pytest.raises(UnsupportedWavError):
-            decode_wav(wav_bytes(b"\x00" * 8, 3, 1, 48000, 64))  # IEEE float-64
+            decode_wav(wav_bytes(b"\x00" * 8, 3, 1, 48000, 16))  # IEEE float-16
         with pytest.raises(UnsupportedWavError):
             decode_wav(wav_bytes(b"\x00\x00", 7, 1, 8000, 8))  # mu-law
 
@@ -267,9 +294,10 @@ class TestDecodeWav:
             decode_wav(wav_bytes(payload, 1, 2, 48000, 16, block=block))
 
     def test_non_finite_float_samples(self):
-        payload = np.array([0.25, np.nan, np.inf], dtype="<f4").tobytes()
-        with pytest.raises(WavDecodeError, match="NaN or Inf"):
-            decode_wav(wav_bytes(payload, 3, 1, 48000, 32))
+        for bits in (32, 64):
+            payload = np.array([0.25, np.nan, np.inf], dtype=f"<f{bits // 8}").tobytes()
+            with pytest.raises(WavDecodeError, match="NaN or Inf"):
+                decode_wav(wav_bytes(payload, 3, 1, 48000, bits))
 
 
 class TestDecodeWavRobustness:
@@ -699,7 +727,7 @@ class TestParsedWavEqualsDecodedBuffer:
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
-        codec=st.sampled_from(["pcm16", "pcm24", "float32"]),
+        codec=st.sampled_from(["pcm16", "pcm24", "float32", "float64"]),
         channels=st.integers(1, 3),
         pair=st.sampled_from(ORACLE_PAIRS),
         length=st.one_of(
@@ -719,8 +747,9 @@ class TestParsedWavEqualsDecodedBuffer:
         x = rng.uniform(-0.05, 0.05, (n, channels))
         if spike_in_fade:
             x[min(10, n - 1)] = 0.9  # the peak, inside the first fade
-        if codec == "float32":
-            wav_data = wav_bytes(x.astype("<f4").tobytes(), 3, channels, src, 32)
+        if codec.startswith("float"):
+            bits = int(codec[5:])
+            wav_data = wav_bytes(x.astype(f"<f{bits // 8}").tobytes(), 3, channels, src, bits)
         else:
             bits = int(codec[3:])
             wav_data = wav_bytes(pcm_bytes(np.round(x * 2 ** (bits - 1)), bits), 1, channels, src, bits)

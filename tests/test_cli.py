@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -550,6 +551,124 @@ class TestReportCommand:
         assert header == ["track_id"] + feature_names(20) + ["genre"]
         assert len(header) == 57 + 2
         assert read_feature_table_csv((out / "features.csv").read_text()).matrix.shape == (9, 57)
+
+
+def tree(root):
+    """Every path under root, with its bytes, or None for a directory."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(Path(root).rglob("*"))}
+
+
+def manifest_of(corpus, tmp_path, n, extra_rows=()):
+    """A manifest in tmp_path of the corpus's first n tracks, by absolute path, then extra_rows."""
+    rows = [f"{corpus / rec.path},{rec.game},{rec.genre.token},{rec.title}"
+            for rec in load_manifest((corpus / "manifest.csv").read_text())[:n]]
+    path = tmp_path / f"first{n}.csv"
+    path.write_text("path,game,genre,title\n" + "".join(row + "\n" for row in [*rows, *extra_rows]))
+    return path
+
+
+class TestStagedCommit:
+    """Outputs go to <out>/.vgmfeat-<pid>/ and are moved into --out only once every one is written."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "extract", "summarize", "classify", "report"])
+    def test_no_staging_directory_is_left(self, small_corpus, tmp_path, command):
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert cli.main([command, "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
+                             "--clip-seconds", "1", "--jobs", jobs]) == 0
+            assert [p.name for p in out.iterdir() if p.name.startswith(".vgmfeat-")] == []
+            on_disk = {name for name, data in tree(out).items() if data is not None}
+            assert on_disk == set(declared_files(out)) | {"run_manifest.json"}
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_run_leaves_out_unchanged(self, small_corpus, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        common = ["report", "--out", str(out), "--clip-seconds", "1", "--jobs", jobs]
+        assert cli.main(common + ["--manifest", str(small_corpus / "manifest.csv")]) == 0
+        before = tree(out)
+        capsys.readouterr()
+        # Every track but the last succeeds, and with other flags, so that a commit would change every file.
+        manifest = manifest_of(small_corpus, tmp_path, 9, [f"{tmp_path / 'ghost.wav'},g,action_rpg,t"])
+        assert cli.main(common + ["--manifest", str(manifest), "--n-mfcc", "12"]) == 2
+        assert "ghost.wav: read: " in capsys.readouterr().err
+        assert tree(out) == before
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rename_failing_midway_leaves_each_file_old_or_new(self, small_corpus, tmp_path, monkeypatch, jobs):
+        common = ["report", "--manifest", str(small_corpus / "manifest.csv"), "--clip-seconds", "1", "--jobs", jobs]
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert cli.main(common + ["--out", str(out)]) == 0
+        assert cli.main(common + ["--out", str(fresh), "--n-mfcc", "12"]) == 0
+        old, new = tree(out), tree(fresh)
+        real_replace, moved = os.replace, []
+
+        def replace(src, dst):
+            if len(moved) == 10:
+                raise OSError("rename failed")
+            real_replace(src, dst)
+            moved.append(dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert cli.main(common + ["--out", str(out), "--n-mfcc", "12"]) == 2
+        monkeypatch.undo()
+        got = tree(out)
+        assert set(got) == set(old) == set(new)  # no staging directory either
+        assert all(got[name] in (old[name], new[name]) for name in got)
+        # The first files were moved, the last track's series and the run manifest were not.
+        last_mfcc = sorted(name for name in got if name.endswith("_mfcc.csv"))[-1]
+        assert got["features.csv"] == new["features.csv"] != old["features.csv"]
+        assert got[last_mfcc] == old[last_mfcc] != new[last_mfcc]
+
+    def test_extract_after_summarize_removes_the_files_it_replaces(self, small_corpus, tmp_path):
+        flags = ["--manifest", str(small_corpus / "manifest.csv"), "--clip-seconds", "1"]
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert cli.main(["summarize", "--out", str(out), *flags]) == 0
+        assert len(declared_files(out)) == 1 + 9 * 5
+        (out / "notes.txt").write_text("mine")  # listed by no manifest
+        assert cli.main(["extract", "--out", str(out), *flags]) == 0
+        assert cli.main(["extract", "--out", str(fresh), *flags]) == 0
+        # genre_summary.csv and the series are gone, and so is the series directory they emptied.
+        assert tree(out) == {**tree(fresh), "notes.txt": b"mine"}
+
+    def test_listed_names_outside_out_are_never_removed(self, small_corpus, tmp_path):
+        out = tmp_path / "out"
+        (out / "series").mkdir(parents=True)
+        (out / "series" / "old.csv").write_text("stale")
+        outside, absolute = tmp_path / "outside.txt", tmp_path / "absolute.txt"
+        for path in (outside, absolute):
+            path.write_text("keep")
+        listed = ["../outside.txt", str(absolute), "series/../../outside.txt", "series", "", 7, "series/old.csv"]
+        (out / "run_manifest.json").write_text(json.dumps({"command": "summarize", "files": listed}))
+        args = ["extract", "--manifest", str(small_corpus / "manifest.csv"), "--clip-seconds", "1", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert outside.read_text() == absolute.read_text() == "keep"
+        assert not (out / "series").exists()
+        # A manifest that is not JSON lists nothing.
+        (out / "run_manifest.json").write_text("not json")
+        assert cli.main(args) == 0
+        assert declared_files(out) == ["features.csv", "features.json"]
+
+
+class TestOutputMemory:
+    @pytest.mark.parametrize("command, first_track", [("summarize", "series/000_*"), ("preprocess", "000_*.wav")])
+    def test_peak_grows_by_less_than_one_track_of_outputs(self, small_corpus, tmp_path, monkeypatch,
+                                                          command, first_track):
+        # Each track's outputs are written as soon as it is done: 9 tracks peak no higher than 1
+        # but for the table and the file names. Holding them until the last track adds 8 tracks.
+        monkeypatch.setattr(block_helpers, "helpers", 0)
+        peaks = {}
+        for n in (1, 1, 9):  # the first run fills first-call caches, such as the FFT plan
+            out = tmp_path / f"out{n}_{len(peaks)}"
+            argv = [command, "--manifest", str(manifest_of(small_corpus, tmp_path, n)), "--out", str(out)]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        one_track = sum(path.stat().st_size for path in (tmp_path / "out1_1").glob(first_track))
+        assert peaks[9] - peaks[1] <= one_track, f"{peaks[1] / 1e6:.2f} -> {peaks[9] / 1e6:.2f} MB"
 
 
 @pytest.fixture(scope="module")
