@@ -48,7 +48,6 @@ from .spectral import StftParams, mel_filterbank
 from . import synth
 
 OUT_DIR_ENV = "VGMFEAT_OUT"
-RUN_MANIFEST = "run_manifest.json"
 COMMANDS = ("preprocess", "extract", "summarize", "classify", "report")
 
 EXIT_OK = 0
@@ -195,7 +194,8 @@ def _write(stage: Path, name: str, text_or_bytes) -> str:
     return name
 
 
-def _run_preprocess(args, pre: PreprocessSpec, stage: Path, produced: list):
+def _run_preprocess(args, pre: PreprocessSpec, stage: Path, produced: list) -> list:
+    """Encode every track into the staging directory; returns the files read."""
     records, base = _load_records(args.manifest)
     encode = partial(encode_wav, sample_format=args.wav_format)
     paths = [track_path(rec, base) for rec in records]
@@ -208,16 +208,23 @@ def _run_preprocess(args, pre: PreprocessSpec, stage: Path, produced: list):
     produced += written
     produced.append(_write(stage, "manifest.csv", write_manifest(
         [replace(rec, path=name) for rec, name in zip(records, written)])))
+    return [Path(args.manifest), *paths]
 
 
-def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, stage: Path, produced: list):
-    """extract, summarize, classify and report: one extraction pass, then each command's outputs."""
+def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, stage: Path, produced: list) -> list:
+    """extract, summarize, classify and report: one extraction pass, then each command's outputs.
+
+    Returns the files read.
+    """
     command = args.command
     if command == "classify" and args.features_csv:
-        table = Path(args.features_csv).read_text(encoding="utf-8-sig")
+        inputs = [Path(args.features_csv)]
+        table = inputs[0].read_text(encoding="utf-8-sig")
     else:
         with_series = command in ("summarize", "report")
         records, base = _load_records(args.manifest)
+        paths = [track_path(rec, base) for rec in records]
+        inputs = [Path(args.manifest), *paths]
         names = feature_names(spec.n_mfcc)
         ds = LabeledDataset(
             np.empty((len(records), len(names))),
@@ -239,7 +246,7 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, stage: Path, pr
             stem = f"{i:03d}_{Path(records[i].path).stem}"
             return [_write(stage, f"series/{stem}_{kind}.csv", frame_series_csv(fs)) for kind, fs in series.items()]
 
-        series_files = _map_tracks([track_path(rec, base) for rec in records], analyze, args.jobs)
+        series_files = _map_tracks(paths, analyze, args.jobs)
         table = write_feature_table_csv(ds)
         if command in ("extract", "report"):
             produced.append(_write(stage, "features.csv", table))
@@ -259,45 +266,60 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, stage: Path, pr
             report = evaluate_split(ds, test_fraction=args.test_fraction, seed=args.seed, k=args.k)
         produced.append(_write(stage, "report.json", report.to_json()))
         produced.append(_write(stage, "report.txt", report.to_text()))
+    return inputs
 
 
-def _listed(out_dir: Path) -> set:
-    """The names out_dir's run_manifest.json lists, less any that could reach outside out_dir.
+def _stale(out_dir: Path, produced: list, inputs: list) -> list:
+    """The files out_dir's run_manifest.json lists that this run neither produced nor read.
 
-    A missing or unreadable manifest lists nothing. A name that is absolute or
-    has a `..` part is dropped, so a hand-edited manifest cannot name a file
-    outside out_dir.
+    A missing or non-JSON manifest lists nothing. A listed name is kept only
+    if it is relative, has no `..` part, and names a regular file (not a
+    symlink) whose directory, symlinks resolved, is out_dir or inside it; so
+    a hand-edited manifest cannot name a file outside out_dir. Names are
+    compared as resolved paths, so `./features.csv` is this run's
+    features.csv, and a preprocessed WAV that this run read is an input.
     """
     try:
-        files = json.loads((out_dir / RUN_MANIFEST).read_text(encoding="utf-8"))["files"]
-    except (FileNotFoundError, ValueError, KeyError, TypeError):
-        return set()
+        listed = json.loads((out_dir / "run_manifest.json").read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return []
+    files = listed.get("files") if isinstance(listed, dict) else None
     if not isinstance(files, list):
-        return set()
-    return {name for name in files if isinstance(name, str)
-            and not Path(name).is_absolute() and ".." not in Path(name).parts}
+        return []
+    root = out_dir.resolve()
+    keep = {path.resolve() for path in inputs} | {(out_dir / fs_name(name)).resolve() for name in produced}
+    stale = set()
+    for name in files:
+        if not isinstance(name, str) or Path(name).is_absolute() or ".." in Path(name).parts:
+            continue
+        path = out_dir / fs_name(name)
+        real = path.parent.resolve() / path.name
+        if real.parent.is_relative_to(root) and real not in keep and real.is_file() and not real.is_symlink():
+            stale.add(real)
+    return sorted(stale)
 
 
-def _commit(stage: Path, out_dir: Path, command: str, produced: list):
+def _commit(stage: Path, out_dir: Path, command: str, produced: list, inputs: list):
     """Move the staged files into out_dir, in `produced` order, and write run_manifest.json last.
 
     Each move is an os.replace, so every file in out_dir is always whole:
-    its old bytes or its new ones. The files the previous run_manifest.json
-    listed that this run did not produce are removed before the new manifest
-    is written; a file no manifest lists is never touched.
+    its old bytes or its new ones. The stale files (see _stale), found before
+    any move so that an unreadable manifest fails with out_dir untouched, are
+    removed before the new manifest is written; a file no manifest lists is
+    never touched.
     """
+    stale = _stale(out_dir, produced, inputs)
     for name in produced:
         target = out_dir / fs_name(name)
         target.parent.mkdir(parents=True, exist_ok=True)
         os.replace(stage / fs_name(name), target)
-    for name in sorted(_listed(out_dir) - set(produced)):
-        stale = out_dir / fs_name(name)
-        if stale.is_file():
-            stale.unlink()
-            if stale.parent != out_dir and not any(stale.parent.iterdir()):
-                stale.parent.rmdir()  # such as series/, once extract follows summarize
+    root = out_dir.resolve()
+    for path in stale:
+        path.unlink(missing_ok=True)
+        if path.parent != root and not any(path.parent.iterdir()):
+            path.parent.rmdir()  # such as series/, once extract follows summarize
     manifest = json.dumps({"command": command, "files": produced}, indent=2) + "\n"
-    os.replace(stage / _write(stage, RUN_MANIFEST, manifest), out_dir / RUN_MANIFEST)
+    os.replace(stage / _write(stage, "run_manifest.json", manifest), out_dir / "run_manifest.json")
 
 
 def _message(exc) -> str:
@@ -386,17 +408,17 @@ def main(argv=None) -> int:
         stage.mkdir(exist_ok=True)  # a directory of this name is left by a killed run that had this pid
         try:
             if args.command == "preprocess":
-                _run_preprocess(args, pre, stage, produced)
+                inputs = _run_preprocess(args, pre, stage, produced)
             else:
-                _run_analysis(args, pre, spec, stage, produced)
-            _commit(stage, out_dir, args.command, produced)
+                inputs = _run_analysis(args, pre, spec, stage, produced)
+            _commit(stage, out_dir, args.command, produced, inputs)
         finally:
             shutil.rmtree(stage, ignore_errors=True)
     except (VgmfeatError, OSError, ValueError) as exc:
         _print_error(args.command, exc)
         return EXIT_DATA
 
-    for name in produced + [RUN_MANIFEST]:
+    for name in produced + ["run_manifest.json"]:
         print(f"wrote {out_dir / fs_name(name)}")
     return EXIT_OK
 

@@ -631,19 +631,55 @@ class TestStagedCommit:
         # genre_summary.csv and the series are gone, and so is the series directory they emptied.
         assert tree(out) == {**tree(fresh), "notes.txt": b"mine"}
 
-    def test_listed_names_outside_out_are_never_removed(self, small_corpus, tmp_path):
+    def test_chained_runs_keep_the_inputs_they_read_from_out(self, small_corpus, tmp_path):
+        out, flags = tmp_path / "out", ["--clip-seconds", "1"]
+        assert cli.main(["preprocess", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out)]) == 0
+        wavs = declared_files(out)
+        before = tree(out)
+        # extract reads the WAVs and manifest.csv that preprocess listed: they are inputs, not stale files.
+        assert cli.main(["extract", "--manifest", str(out / "manifest.csv"), "--out", str(out), *flags]) == 0
+        assert all(tree(out)[name] == before[name] for name in wavs)
+        assert cli.main(["report", "--manifest", str(out / "manifest.csv"), "--out", str(out), *flags]) == 0
+        table = (out / "features.csv").read_bytes()
+        # classify reads the features.csv that report listed; features.json it neither read nor wrote.
+        assert cli.main(["classify", "--features-csv", str(out / "features.csv"), "--out", str(out)]) == 0
+        assert (out / "features.csv").read_bytes() == table
+        assert not (out / "features.json").exists() and not (out / "series").exists()
+        assert all(tree(out)[name] == before[name] for name in wavs)
+
+    def test_unreadable_run_manifest_fails_before_any_move(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "out"
+        args = ["extract", "--manifest", str(small_corpus / "manifest.csv"), "--clip-seconds", "1", "--out", str(out)]
+        assert cli.main(args) == 0
+        (out / "run_manifest.json").unlink()
+        (out / "run_manifest.json").mkdir()
+        before = tree(out)
+        capsys.readouterr()
+        assert cli.main(args + ["--n-mfcc", "12"]) == 2
+        assert "run_manifest.json" in capsys.readouterr().err
+        assert tree(out) == before
+
+    def test_listed_names_outside_out_are_never_removed(self, small_corpus, tmp_path):
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
         (out / "series").mkdir(parents=True)
         (out / "series" / "old.csv").write_text("stale")
+        elsewhere.mkdir()
+        (elsewhere / "x.csv").write_text("keep")
+        (out / "link").symlink_to(elsewhere, target_is_directory=True)
+        (out / "file_link.csv").symlink_to(elsewhere / "x.csv")
         outside, absolute = tmp_path / "outside.txt", tmp_path / "absolute.txt"
         for path in (outside, absolute):
             path.write_text("keep")
-        listed = ["../outside.txt", str(absolute), "series/../../outside.txt", "series", "", 7, "series/old.csv"]
+        listed = ["../outside.txt", str(absolute), "series/../../outside.txt", "series", "", 7, "series//old.csv",
+                  "link/x.csv", "file_link.csv", "./features.csv", "features.json"]
         (out / "run_manifest.json").write_text(json.dumps({"command": "summarize", "files": listed}))
         args = ["extract", "--manifest", str(small_corpus / "manifest.csv"), "--clip-seconds", "1", "--out", str(out)]
         assert cli.main(args) == 0
-        assert outside.read_text() == absolute.read_text() == "keep"
+        assert outside.read_text() == absolute.read_text() == (elsewhere / "x.csv").read_text() == "keep"
+        assert (out / "file_link.csv").is_symlink()
         assert not (out / "series").exists()
+        # ./features.csv names the features.csv this run wrote.
+        assert (out / "features.csv").is_file() and (out / "features.json").is_file()
         # A manifest that is not JSON lists nothing.
         (out / "run_manifest.json").write_text("not json")
         assert cli.main(args) == 0
