@@ -566,24 +566,15 @@ def _gain(peak: float, target_peak_dbfs: float) -> float:
     return gain
 
 
-def peak_gain(samples: np.ndarray, target_peak_dbfs: float) -> float:
-    """The constant that puts the absolute peak of `samples` on the dBFS target.
-
-    Raises:
-        SilentAudioError: all-zero input has no peak to normalize, and a
-            subnormal peak would need an infinite gain.
-    """
-    # max(x.max(), -x.min()) is exactly max(|x|), without a full-length temporary.
-    return _gain(float(max(samples.max(), -samples.min())) if len(samples) else 0.0, target_peak_dbfs)
-
-
 def peak_normalize(buf: AudioBuffer, target_peak_dbfs: float) -> AudioBuffer:
     """Scale by one constant so the absolute peak lands on the dBFS target.
 
     Raises:
-        SilentAudioError: all-zero input has no peak to normalize.
+        SilentAudioError: all-zero or empty input has no peak to normalize, and
+            a subnormal peak would need an infinite gain.
     """
-    return AudioBuffer(buf.samples * peak_gain(buf.samples, target_peak_dbfs), buf.sample_rate_hz)
+    peak = _abs_peak(buf.samples) if len(buf.samples) else 0.0
+    return AudioBuffer(buf.samples * _gain(peak, target_peak_dbfs), buf.sample_rate_hz)
 
 
 def center_trim(buf: AudioBuffer, duration_s: float) -> AudioBuffer:

@@ -172,10 +172,12 @@ def stratified_split(labels: np.ndarray, test_fraction: float, seed: int):
     a SplitMix64 stream seeded once; classes are processed in code order.
 
     Raises:
-        ValueError: a class would end up without a train or test item.
+        ValueError: no labels, or a class would end up without a train or test item.
     """
     if not 0 < test_fraction < 1:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if not len(labels):
+        raise ValueError("no tracks to split")
     rng = SplitMix64(seed)
     train, test = [], []
     for genre in GenreLabel:

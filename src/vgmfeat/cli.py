@@ -26,7 +26,6 @@ from .dataset import (
     FEATURE_FAMILIES,
     AnalysisSpec,
     LabeledDataset,
-    ReadAhead,
     extract_track,
     feature_names,
     feature_table_json,
@@ -45,7 +44,6 @@ from .dataset import (
 from .errors import TrackError, VgmfeatError
 from .features import min_clip_samples
 from .spectral import StftParams, mel_filterbank
-from . import synth
 
 OUT_DIR_ENV = "VGMFEAT_OUT"
 COMMANDS = ("preprocess", "extract", "summarize", "classify", "report")
@@ -105,9 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pad-short", action="store_true", help="zero-pad tracks shorter than the clip")
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="tracks processed concurrently; a helper thread per core beyond the first takes "
-                            "resampling blocks from any track, and with 1 job also reads the next track's bytes "
-                            "and parses its header, one track ahead, while this one is analyzed "
-                            "(default %(default)s)")
+                            "resampling blocks from any track (default %(default)s)")
 
     def add_analysis(p):
         p.add_argument("--n-fft", type=int, default=StftParams.n_fft, help="FFT frame length (default %(default)s)")
@@ -168,19 +164,16 @@ def _load_records(manifest_path):
     return records, str(Path(manifest_path).parent)
 
 
-def _map_tracks(paths, worker, jobs):
-    """worker(i, reader) for every track i, results in track order.
+def _map_tracks(n, worker, jobs):
+    """worker(i) for every track i in range(n), results in track order.
 
-    With one job the tracks run in order on this thread, and `reader` (a
-    ReadAhead) loads each next track on a block helper; with more, each worker
-    thread loads its own tracks and `reader` is None.
+    With one job the tracks run in order on this thread; with more, on a pool of `jobs` threads.
     """
-    jobs = min(jobs, len(paths))
+    jobs = min(jobs, n)  # no pool of 0 threads for an empty manifest
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda i: worker(i, None), range(len(paths))))
-    reader = ReadAhead(paths)
-    return [worker(i, reader) for i in range(len(paths))]
+            return list(pool.map(worker, range(n)))
+    return [worker(i) for i in range(n)]
 
 
 def _write(stage: Path, name: str, text_or_bytes) -> str:
@@ -200,11 +193,11 @@ def _run_preprocess(args, pre: PreprocessSpec, stage: Path, produced: list) -> l
     encode = partial(encode_wav, sample_format=args.wav_format)
     paths = [track_path(rec, base) for rec in records]
 
-    def preprocess_one(i, reader):
-        payload = process_track(paths[i], pre, "encode", encode, reader)
+    def preprocess_one(i):
+        payload = process_track(paths[i], pre, "encode", encode)
         return _write(stage, f"{i:03d}_{Path(records[i].path).stem}.wav", payload)
 
-    written = _map_tracks(paths, preprocess_one, args.jobs)
+    written = _map_tracks(len(paths), preprocess_one, args.jobs)
     produced += written
     produced.append(_write(stage, "manifest.csv", write_manifest(
         [replace(rec, path=name) for rec, name in zip(records, written)])))
@@ -236,17 +229,17 @@ def _run_analysis(args, pre: PreprocessSpec, spec: AnalysisSpec, stage: Path, pr
             # The split needs only the labels: a k or test fraction it cannot meet fails before any track is read.
             check_evaluation(ds.labels, args.protocol, args.k, args.test_fraction, args.seed)
 
-        def analyze(i, reader):
+        def analyze(i):
             # Copy the row into the table: a row kept past its worker pins freed heap memory,
             # which put `report --jobs 2` peak RSS about 20 MB higher in most runs.
-            ds.matrix[i], series = extract_track(records[i], pre, spec, base, reader)
+            ds.matrix[i], series = extract_track(records[i], pre, spec, base)
             if not with_series:
                 return []
             # Each series is rendered and written here, one at a time, so no track's text outlives it.
             stem = f"{i:03d}_{Path(records[i].path).stem}"
             return [_write(stage, f"series/{stem}_{kind}.csv", frame_series_csv(fs)) for kind, fs in series.items()]
 
-        series_files = _map_tracks(paths, analyze, args.jobs)
+        series_files = _map_tracks(len(paths), analyze, args.jobs)
         table = write_feature_table_csv(ds)
         if command in ("extract", "report"):
             produced.append(_write(stage, "features.csv", table))
@@ -361,6 +354,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     if args.command == "synth-corpus":
+        from . import synth  # only this command needs numpy.random
+
         opts = {name: value for name, value in vars(args).items() if name not in ("command", "out")}
         try:
             manifest = synth.write_corpus(args.out, **opts)

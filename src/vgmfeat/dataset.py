@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer, PreprocessSpec, WavFile, block_helpers, parse_wav, preprocess
+from .audio_io import AudioBuffer, PreprocessSpec, parse_wav, preprocess
 from .errors import VgmfeatError, TrackError
 from .features import (
     PITCH_CLASSES,
@@ -218,69 +218,6 @@ def track_path(rec: TrackRecord, base_dir: str | None = None) -> Path:
     return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
 
 
-def load_track(path: Path) -> WavFile:
-    """Read and parse one WAV file; a failure is re-raised as TrackError naming the stage.
-
-    The samples stay undecoded in the file's bytes: resample decodes them
-    span by span. A bad header or a NaN or Inf float sample fails here, at
-    the decode stage.
-    """
-    stage = "read"
-    try:
-        data = path.read_bytes()
-        stage = "decode"
-        return parse_wav(data)
-    except (OSError, ValueError, VgmfeatError) as exc:
-        raise TrackError(str(path), stage, exc) from exc
-
-
-class ReadAhead:
-    """Loads a run's tracks in `paths` order, each next one beside the analysis of the one before.
-
-    take(path) returns the next track's parsed file (load_track), which holds
-    the file's bytes: the load made beside the track before, or one made here
-    if there is none or it is of another file. beside(path, call) returns
-    call(), run here once the caller keeps none of the track's full-length
-    data, while a block helper, if one is free, loads the next track; both
-    finish before beside returns. A failed load is raised by the take() for
-    its track. The look-ahead goes by position, so a file listed twice is
-    loaded once per listing.
-    """
-
-    def __init__(self, paths):
-        self.paths = paths
-        self.taken = 0  # tracks handed out so far
-        self.loaded = (None, None)  # (path, WavFile or TrackError) loaded beside the last track
-
-    def take(self, path: Path) -> WavFile:
-        (ahead, loaded), self.loaded = self.loaded, (None, None)
-        self.taken += 1
-        if ahead != path:
-            return load_track(path)
-        if isinstance(loaded, TrackError):
-            raise loaded
-        return loaded
-
-    def beside(self, path: Path, call):
-        if not 0 < self.taken < len(self.paths) or self.paths[self.taken - 1] != path:
-            return call()  # out of step with `paths`, or the last track
-        ahead, results = self.paths[self.taken], {}
-
-        def run(chunk):
-            for item in chunk:
-                if item == 0:
-                    results[0] = call()
-                    continue
-                try:
-                    results[1] = load_track(ahead)
-                except TrackError as exc:  # raised on its own turn, by take()
-                    results[1] = exc
-
-        block_helpers.run_blocks(run, range(2))
-        self.loaded = (ahead, results[1])
-        return results[0]
-
-
 @functools.cache
 def _malloc_trim():
     """glibc's malloc_trim, looked up on first use; None where the C library has none."""
@@ -309,22 +246,26 @@ def release_free_heap():
         trim(0)
 
 
-def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last, reader: ReadAhead | None = None):
+def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
     """Read, parse and preprocess one WAV file, then return last(clip).
 
-    Any failure is re-raised as TrackError carrying the track path and the
-    pipeline stage that broke; `last_stage` names the stage `last` runs. With
-    a `reader`, the file comes from reader.take(path) and `last` runs beside
-    the load of the track after it (ReadAhead.beside). Once `last` returns,
-    the heap it freed goes back to the OS (release_free_heap).
+    The samples stay undecoded in the file's bytes until resample decodes
+    them block by block; a bad header or a NaN or Inf float sample fails at
+    the decode stage. Any failure is re-raised as TrackError carrying the
+    track path and the pipeline stage that broke; `last_stage` names the
+    stage `last` runs. The file's bytes are freed before `last` runs, and
+    once it returns, the heap it freed goes back to the OS (release_free_heap).
     """
-    wav = reader.take(path) if reader else load_track(path)
-    stage = "preprocess"
+    stage = "read"
     try:
-        clip = preprocess(wav, pre)  # resample decodes the file's bytes block by block
-        del wav  # the file's bytes die here, before the next one is loaded
+        data = path.read_bytes()
+        stage = "decode"
+        wav = parse_wav(data)
+        stage = "preprocess"
+        clip = preprocess(wav, pre)
+        del data, wav  # the file's bytes die here, before `last` runs
         stage = last_stage
-        result = reader.beside(path, lambda: last(clip)) if reader else last(clip)
+        result = last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:
         raise TrackError(str(path), stage, exc) from exc
     del clip  # its pages go back too
@@ -337,13 +278,12 @@ def extract_track(
     pre: PreprocessSpec = PreprocessSpec(),
     spec: AnalysisSpec = AnalysisSpec(),
     base_dir: str | None = None,
-    reader: ReadAhead | None = None,
 ):
     """Decode, preprocess and featurize one manifest record (see process_track).
 
     Returns analyze_clip's (row, series).
     """
-    return process_track(track_path(rec, base_dir), pre, "analyze", lambda clip: analyze_clip(clip, spec), reader)
+    return process_track(track_path(rec, base_dir), pre, "analyze", lambda clip: analyze_clip(clip, spec))
 
 
 def summarize_by_genre(ds: LabeledDataset) -> GenreSummary:

@@ -127,41 +127,42 @@ class TestExtractCommand:
 
     def test_failing_track_gives_back_the_resampler_helpers(self, small_corpus, tmp_path, monkeypatch, capsys):
         track = load_manifest((small_corpus / "manifest.csv").read_text())[0]
+        (tmp_path / "bad.wav").write_bytes(b"not a wav")
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path,game,genre,title\n{small_corpus / track.path},g,action_rpg,t\n"
-                            "ghost.wav,g,action_rpg,t\n")
-        futures, real_pool, real_load = [], block_helpers._pool, dataset.load_track
-        ghost_tried = threading.Event()
+                            "bad.wav,g,action_rpg,t\n")
+        futures, real_pool, real_parse = [], block_helpers._pool, dataset.parse_wav
+        bad_tried = threading.Event()
 
         class Recording:
             def submit(self, fn, *args):
                 futures.append(real_pool.submit(fn, *args))
                 return futures[-1]
 
-        def load(path):
-            if path.name == "ghost.wav":
-                ghost_tried.set()
-                time.sleep(0.2)  # still loading when the first track fails
-            return real_load(path)
+        def parse(data):
+            if data == b"not a wav":
+                bad_tried.set()
+                time.sleep(0.2)  # still parsing when the first track fails
+            return real_parse(data)
 
         def analyze_fails(clip, spec):
-            # Fail only once the second track's load has begun, so its error is there to be dropped.
-            assert ghost_tried.wait(10)
+            # At --jobs 2, fail only once the second track's parse has begun, so its error is there to be dropped.
+            assert jobs == 1 or bad_tried.wait(10)
             raise ValueError("boom")
 
         # Three helpers on any host, more than the pool may have threads: chunks no thread starts only queue.
         monkeypatch.setattr(block_helpers, "helpers", 3)
         monkeypatch.setattr(block_helpers, "_pool", Recording())
-        monkeypatch.setattr(dataset, "load_track", load)
+        monkeypatch.setattr(dataset, "parse_wav", parse)
         monkeypatch.setattr(dataset, "analyze_clip", analyze_fails)
         for jobs in (1, 2):
             futures.clear()
-            ghost_tried.clear()
+            bad_tried.clear()
             rc = cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--jobs", str(jobs)])
             assert rc == 2
             # The first track's error, in manifest order, whichever failed first.
             assert capsys.readouterr().err == f"error [extract]: {small_corpus / track.path}: analyze: boom\n"
-            # Every chunk offered to a helper, the load ahead included, has ended or was cancelled.
+            # Every chunk offered to a helper has ended or was cancelled.
             assert futures and all(future.done() for future in futures), jobs
 
     @pytest.mark.parametrize("command", ["report", "preprocess"])
@@ -177,7 +178,7 @@ class TestExtractCommand:
 
     def test_next_track_loads_once_the_last_is_preprocessed(self, small_corpus, tmp_path, monkeypatch):
         # Tracks run in order at --jobs 1, so the k-th call of each stage is track k.
-        events, parsed, resampled, clip_samples, helper_loads = [], [], [], [], []
+        events, parsed, resampled, clip_samples = [], [], [], []
         real_parse, real_preprocess, real_resample = dataset.parse_wav, dataset.preprocess, audio_io.resample
 
         def parse(data):
@@ -186,7 +187,6 @@ class TestExtractCommand:
             # weakly referenced), may not be alive; its clip is, for the analysis.
             events.append(("parse", k))
             if k:
-                helper_loads.append(threading.current_thread() is not threading.main_thread())
                 events.append(("previous track freed", parsed[k - 1]() is None))
             wav = real_parse(data)
             parsed.append(weakref.ref(wav))
@@ -214,36 +214,44 @@ class TestExtractCommand:
         assert [freed for event, freed in events if event == "previous track freed"] == [True] * 8
         # Each track's resample returned its clip's rows and no others.
         assert len(resampled) == 9 and resampled == clip_samples
-        # Each later track is loaded on the helper, unless the helper had not started when it was needed.
-        assert any(helper_loads)
+
+    def test_each_track_is_parsed_on_the_calling_thread_when_its_turn_comes(self, small_corpus, tmp_path,
+                                                                           monkeypatch):
+        parsed, at_analysis = [], []
+        real_parse, real_analyze = dataset.parse_wav, dataset.analyze_clip
+
+        def parse(data):
+            parsed.append(threading.current_thread() is threading.main_thread())
+            return real_parse(data)
+
+        def analyze(clip, spec):
+            at_analysis.append(list(parsed))
+            return real_analyze(clip, spec)
+
+        # A free block helper, so that nothing but the order of the stages keeps the next parse back.
+        monkeypatch.setattr(block_helpers, "helpers", 1)
+        monkeypatch.setattr(dataset, "parse_wav", parse)
+        monkeypatch.setattr(dataset, "analyze_clip", analyze)
+        assert cli.main(["extract", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(tmp_path)]) == 0
+        # When track k's analysis starts, tracks 0..k have been parsed, every one on this thread.
+        assert at_analysis == [[True] * (k + 1) for k in range(9)]
 
     @pytest.mark.parametrize("helpers", [0, 1])
     def test_file_listed_twice_is_loaded_once_per_listing(self, small_corpus, tmp_path, monkeypatch, helpers):
         a, b, c = (small_corpus / rec.path for rec in load_manifest((small_corpus / "manifest.csv").read_text())[:3])
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,game,genre,title\n" + "".join(f"{p},g,action_rpg,t\n" for p in (a, b, a, c)))
-        loads, real_load, real_analyze = [], dataset.load_track, dataset.analyze_clip
+        loads, real_parse = [], dataset.parse_wav
 
-        def load(path):
-            loads.append((path, threading.current_thread() is threading.main_thread()))
-            return real_load(path)
+        def parse(data):
+            loads.append((data, threading.current_thread() is threading.main_thread()))
+            return real_parse(data)
 
-        def analyze(clip, spec):
-            # With a helper, wait for the next track's load to begin: only the helper can run it meanwhile.
-            k = len(analyzed)
-            analyzed.append(k)
-            deadline = time.monotonic() + 10
-            while helpers and k < 3 and len(loads) < k + 2 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return real_analyze(clip, spec)
-
-        analyzed = []
         monkeypatch.setattr(block_helpers, "helpers", helpers)
-        monkeypatch.setattr(dataset, "load_track", load)
-        monkeypatch.setattr(dataset, "analyze_clip", analyze)
+        monkeypatch.setattr(dataset, "parse_wav", parse)
         assert cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
-        assert [path for path, _ in loads] == [a, b, a, c]
-        assert [on_main for _, on_main in loads] == [True] + [not helpers] * 3
+        assert [data for data, _ in loads] == [p.read_bytes() for p in (a, b, a, c)]
+        assert [on_main for _, on_main in loads] == [True] * 4
         rows = (tmp_path / "o" / "features.csv").read_text().splitlines()
         assert rows[1] == rows[3]
 
@@ -255,23 +263,18 @@ class TestExtractCommand:
         rows = [(small_corpus / rec.path, genre.token) for genre in sorted({rec.genre for rec in records})
                 for rec in [rec for rec in records if rec.genre == genre][:2]]
         if fails:
-            rows.insert(1, (tmp_path / "ghost.wav", rows[0][1]))  # loaded ahead beside the first track, and failing
+            rows.insert(1, (tmp_path / "ghost.wav", rows[0][1]))  # fails at its read
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,game,genre,title\n" + "".join(f"{p},g,{genre},t\n" for p, genre in rows))
-        futures, real_pool, real_load = [], block_helpers._pool, dataset.load_track
+        futures, real_pool = [], block_helpers._pool
 
         class Recording:
             def submit(self, fn, *args):
                 futures.append(real_pool.submit(fn, *args))
                 return futures[-1]
 
-        def slow_load(path):
-            time.sleep(0.02)  # still running when a quick last stage, such as preprocess's encode, is done
-            return real_load(path)
-
         monkeypatch.setattr(block_helpers, "_pool", Recording())
         monkeypatch.setattr(block_helpers, "helpers", 1)
-        monkeypatch.setattr(dataset, "load_track", slow_load)
         for jobs in ("1", "2"):
             futures.clear()
             rc = cli.main([command, "--manifest", str(manifest), "--out", str(tmp_path / jobs), "--jobs", jobs])
@@ -307,10 +310,15 @@ class TestExtractCommand:
     def test_header_only_manifest_takes_columns_from_n_mfcc(self, tmp_path):
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,game,genre,title\n")
-        out = tmp_path / "o"
-        assert cli.main(["extract", "--manifest", str(manifest), "--out", str(out), "--n-mfcc", "20"]) == 0
-        assert (out / "features.csv").read_text() == ",".join(["track_id"] + feature_names(20) + ["genre"]) + "\n"
-        assert json.loads((out / "features.json").read_text()) == []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"o{jobs}"
+            assert cli.main(["extract", "--manifest", str(manifest), "--out", str(out), "--n-mfcc", "20",
+                             "--jobs", jobs]) == 0
+            assert (out / "features.csv").read_text() == ",".join(["track_id"] + feature_names(20) + ["genre"]) + "\n"
+            assert json.loads((out / "features.json").read_text()) == []
+            pre = tmp_path / f"pre{jobs}"
+            assert cli.main(["preprocess", "--manifest", str(manifest), "--out", str(pre), "--jobs", jobs]) == 0
+            assert (pre / "manifest.csv").read_text() == "path,game,genre,title\n"
 
     def test_jobs_do_not_change_output(self, small_corpus, tmp_path):
         outs = []
@@ -859,20 +867,26 @@ class TestUsageErrors:
         assert not (out / "features.csv").exists()
 
     # 9 tracks, 3 per genre: the default split trains on 6, each leave-one-out fold on 8.
-    @pytest.mark.parametrize("flags, message", [
-        (["--k", "100"], "k must be in [1, 6], got 100"),
-        (["--protocol", "loocv", "--k", "100"], "k must be in [1, 8], got 100"),
-        (["--test-fraction", "0.01"], "class adventure_rpg with 3 tracks cannot give 0 test and 3 train items"),
-    ], ids=["k", "loocv-k", "test-fraction"])
+    # A header-only manifest has no tracks to split.
+    @pytest.mark.parametrize("flags, message, empty", [
+        (["--k", "100"], "k must be in [1, 6], got 100", False),
+        (["--protocol", "loocv", "--k", "100"], "k must be in [1, 8], got 100", False),
+        (["--test-fraction", "0.01"], "class adventure_rpg with 3 tracks cannot give 0 test and 3 train items", False),
+        ([], "no tracks to split", True),
+    ], ids=["k", "loocv-k", "test-fraction", "empty"])
     @pytest.mark.parametrize("command", ["classify", "report"])
     def test_evaluation_size_errors_before_extraction(self, small_corpus, tmp_path, monkeypatch, capsys,
-                                                      command, flags, message):
+                                                      command, flags, message, empty):
         def extract_track(*args):
             raise AssertionError("a track was extracted")
 
+        manifest = small_corpus / "manifest.csv"
+        if empty:
+            manifest = tmp_path / "m.csv"
+            manifest.write_text("path,game,genre,title\n")
         monkeypatch.setattr(cli, "extract_track", extract_track)
         out = tmp_path / "out"
-        rc = cli.main([command, "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out), *flags])
+        rc = cli.main([command, "--manifest", str(manifest), "--out", str(out), *flags])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []

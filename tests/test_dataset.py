@@ -10,7 +10,6 @@ from vgmfeat.dataset import (
     AnalysisSpec,
     GenreLabel,
     LabeledDataset,
-    ReadAhead,
     TrackRecord,
     analyze_clip,
     extract_track,
@@ -326,41 +325,6 @@ class TestExtractTrack:
         b, _ = extract_track(rec)
         np.testing.assert_array_equal(a, b)
 
-
-    def test_read_ahead_loads_the_path_it_is_given(self, tmp_path, monkeypatch):
-        paths = [tmp_path / f"{k}.wav" for k in range(3)]
-        for k, path in enumerate(paths):
-            path.write_bytes(encode_wav(AudioBuffer(np.full(100, k / 4), 8000 + k), "pcm16"))
-        loads, real_load = [], dataset.load_track
-        monkeypatch.setattr(dataset, "load_track", lambda path: loads.append(path) or real_load(path))
-        monkeypatch.setattr(block_helpers, "helpers", 1)
-        reader = ReadAhead(paths)
-        assert reader.take(paths[0]).sample_rate_hz == 8000
-        assert reader.beside(paths[0], lambda: "analyzed") == "analyzed"
-        assert loads == paths[:2]
-        # Asked for another track, it gives up the load ahead and loads that one itself.
-        assert reader.take(paths[2]).sample_rate_hz == 8002 and loads == paths
-        # Out of step with `paths`, it loads nothing beside the call.
-        assert reader.beside(paths[2], lambda: 7) == 7 and loads == paths
-
-        loads.clear()
-        reader = ReadAhead(paths)
-        for k, path in enumerate(paths):
-            assert reader.take(path).sample_rate_hz == 8000 + k
-            reader.beside(path, lambda: None)
-        assert loads == paths  # each once, and nothing after the last track
-
-    def test_failed_load_ahead_is_raised_on_its_turn(self, tmp_path, monkeypatch):
-        good = tmp_path / "good.wav"
-        good.write_bytes(encode_wav(AudioBuffer(np.full(100, 0.25), 8000), "pcm16"))
-        paths = [good, tmp_path / "ghost.wav", good]
-        monkeypatch.setattr(block_helpers, "helpers", 1)
-        reader = ReadAhead(paths)
-        reader.take(good)
-        assert reader.beside(good, lambda: "first track done") == "first track done"
-        with pytest.raises(TrackError) as err:
-            reader.take(paths[1])
-        assert "ghost.wav" in str(err.value) and err.value.stage == "read"
 
 class TestTrackMemory:
     def test_track_path_holds_no_full_length_decoded_array(self, tmp_path, monkeypatch):
