@@ -15,7 +15,6 @@ import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -122,8 +121,8 @@ class PreprocessSpec:
             raise ValueError(
                 f"target_sample_rate_hz must be positive, got {self.target_sample_rate_hz}"
             )
-        if not 0 < self.clip_duration_s * self.target_sample_rate_hz < math.inf:
-            raise ValueError(f"clip_duration_s must be positive with a finite sample count at "
+        if not (0 < self.clip_duration_s * self.target_sample_rate_hz < math.inf and self.clip_samples >= 1):
+            raise ValueError(f"clip_duration_s must give a finite sample count of at least 1 at "
                              f"{self.target_sample_rate_hz} Hz, got {self.clip_duration_s}")
 
     @property
@@ -393,49 +392,6 @@ def _abs_peak(y: np.ndarray) -> float:
     return max(top, -bottom)
 
 
-class BlockHelpers:
-    """Helper threads, one per core beyond the first, that share out the blocks of run_blocks.
-
-    The threads start on first use and are shared by the whole process: every
-    run_blocks call, from any track's thread, offers its blocks to all
-    `helpers` of them, and a helper that is busy elsewhere leaves its share to
-    the caller.
-    """
-
-    def __init__(self, helpers: int):
-        self.helpers = helpers
-        # A ThreadPoolExecutor starts its threads on the first submit, not here.
-        self._pool = ThreadPoolExecutor(max(1, helpers), thread_name_prefix="vgmfeat-blocks")
-
-    def run_blocks(self, run, items):
-        """Call run(chunk) on the calling thread and on helpers; the chunks cover `items` once.
-
-        The caller's chunk starts with items[0]; after that, each chunk is an
-        iterable that hands out the next item not yet taken by any thread, so
-        a helper that starts late or runs slowly only leaves more items to the
-        caller, and a helper that never starts (busy with another call's
-        chunk, or a forked child's pool whose threads are gone) leaves them
-        all. The call returns, or re-raises, once every started chunk has
-        finished; a chunk no helper has started by then is cancelled.
-        """
-        n = max(0, min(self.helpers, len(items) - 1))
-        # Every thread's chunk ends at its own None, queued after the last item.
-        todo = queue.SimpleQueue()
-        for item in [*items[1:], *[None] * (n + 1)]:
-            todo.put(item)
-        mine = chain(items[:1], iter(todo.get, None))  # items[0] is taken before any helper can start
-        futures = [self._pool.submit(run, iter(todo.get, None)) for _ in range(n)]
-        try:
-            run(mine)
-        finally:
-            # Only a started chunk can be waited for: a cancelled one is done
-            # only once a helper thread dequeues it, which may never happen.
-            started = [future for future in futures if not future.cancel()]
-            wait(started)
-        for future in started:
-            future.result()
-
-
 def _cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -443,7 +399,20 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-block_helpers = BlockHelpers(_cores() - 1)
+def _new_block_pool():
+    """Give the process a fresh pool of _cores() threads for resample's blocks.
+
+    One pool serves every track's thread. It is not the track pool: a track
+    waits on its blocks, and a pool thread never waits on anything. A
+    ThreadPoolExecutor starts its threads on the first submit, not here.
+    """
+    global _block_pool
+    _block_pool = ThreadPoolExecutor(_cores(), thread_name_prefix="vgmfeat-blocks")
+
+
+_new_block_pool()
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads: give it its own pool
+    os.register_at_fork(after_in_child=_new_block_pool)
 
 
 def resampled_length(n_frames: int, source_rate: int, target_rate: int) -> int:
@@ -470,14 +439,16 @@ def resample(source, target_rate: int, window: tuple[int, int] | None = None) ->
     and its first and last RESAMPLE_FADE_SAMPLES samples are tapered with a
     raised cosine. Each block of RESAMPLE_BLOCK_PERIODS output periods is one
     matrix product per branch group (see _branch_groups), on a block grid
-    that does not depend on the input length or the window. The calling
-    thread and the free block_helpers threads share the blocks out. Each
-    block computes into its thread's scratch and copies only the rows that
-    fall in the window, so the bits do not depend on the window or on which
-    thread computed them. Every block runs, whatever the window: its output
-    max and min, taken while it is still in cache, give the returned
-    buffer's peak over the whole track, and show a NaN or Inf (a finite
-    input near the float range can overflow the filter).
+    that does not depend on the input length or the window. The blocks run
+    on the process's one block pool, shared by every track, as up to
+    _cores() chunks that each take the next block not yet taken; the calling
+    thread waits for every chunk and then raises the first chunk's error, if
+    any. Each block computes into its chunk's scratch and copies only the
+    rows that fall in the window, so the bits do not depend on the window or
+    on which thread computed them. Every block runs, whatever the window:
+    its output max and min, taken while it is still in cache, give the
+    returned buffer's peak over the whole track, and show a NaN or Inf (a
+    finite input near the float range can overflow the filter).
 
     `window` is (first_row, n_rows): the returned buffer holds track rows
     first_row..first_row + n_rows, with zeros where that runs past either
@@ -526,7 +497,7 @@ def resample(source, target_rate: int, window: tuple[int, int] | None = None) ->
     block_periods = min(RESAMPLE_BLOCK_PERIODS, n_per)
 
     def run(block_starts):
-        # Scratch per thread: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB) of kernel
+        # Scratch per chunk: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB) of kernel
         # rows, one block's input span, and one block's output periods, a row each. Each is
         # mapped (see _mapped_empty), so its pages go back to the OS when the call ends.
         tmp = _mapped_empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
@@ -547,7 +518,16 @@ def resample(source, target_rate: int, window: tuple[int, int] | None = None) ->
             peaks.append(_abs_peak(done))
             _keep(out, first, p0 * cols, done)
 
-    block_helpers.run_blocks(run, range(0, n_per, RESAMPLE_BLOCK_PERIODS))
+    # Each chunk takes block starts from one queue until its None, so it maps its scratch once.
+    starts = range(0, n_per, RESAMPLE_BLOCK_PERIODS)
+    n_chunks = min(_cores(), len(starts))
+    todo = queue.SimpleQueue()
+    for p0 in [*starts, *[None] * n_chunks]:
+        todo.put(p0)
+    chunks = [_block_pool.submit(run, iter(todo.get, None)) for _ in range(n_chunks)]
+    wait(chunks)  # every chunk ends before an error is raised, so none outlives the call
+    for chunk in chunks:
+        chunk.result()
     return _with_peak(AudioBuffer(out, int(target_rate), _known_finite=True), peaks)
 
 

@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analysis sample rate (default %(default)s)")
         p.add_argument("--pad-short", action="store_true", help="zero-pad tracks shorter than the clip")
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="tracks processed concurrently; a helper thread per core beyond the first takes "
-                            "resampling blocks from any track (default %(default)s)")
+                       help="tracks processed concurrently; every track's resampling blocks run on one shared "
+                            "pool of a thread per core (default %(default)s)")
 
     def add_analysis(p):
         p.add_argument("--n-fft", type=int, default=StftParams.n_fft, help="FFT frame length (default %(default)s)")

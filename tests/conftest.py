@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from vgmfeat import cli
+from vgmfeat import audio_io, cli
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +16,25 @@ def corpus_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("corpus")
     assert cli.main(["synth-corpus", "--out", str(d), "--seed", "7"]) == 0
     return d
+
+
+class RecordingPool:
+    """Stands in for audio_io's block pool: submits to the real pool and keeps every future in `futures`."""
+
+    def __init__(self, pool):
+        self.pool, self.futures = pool, []
+
+    def submit(self, fn, *args):
+        self.futures.append(self.pool.submit(fn, *args))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def block_pool(monkeypatch):
+    """audio_io's block pool, recorded for the test's length (see RecordingPool)."""
+    pool = RecordingPool(audio_io._block_pool)
+    monkeypatch.setattr(audio_io, "_block_pool", pool)
+    return pool
 
 
 def sine(freq_hz, duration_s=1.0, sample_rate_hz=48000, amplitude=0.5, phase=0.0):

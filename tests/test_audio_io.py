@@ -1,10 +1,11 @@
+import multiprocessing
+import os
 import struct
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -40,33 +41,6 @@ from reference import (
     unblocked_resample,
     unsigned_pcm8_to_float_two_pass,
 )
-
-
-class NeverRuns:
-    """A block helper pool whose threads never start, as in a forked child."""
-
-    def submit(self, fn, *args):
-        return Future()
-
-
-def a_helper_takes_the_second_item(helpers):
-    """True when run_blocks(range(2)) runs item 0 on the caller and item 1 on a helper.
-
-    The caller holds item 0 until item 1 is done, so only a free helper
-    thread can finish the call.
-    """
-    threads, second_done = {}, threading.Event()
-
-    def run(chunk):
-        for item in chunk:
-            threads[item] = threading.current_thread()
-            if item == 0:
-                assert second_done.wait(10)  # only a helper can take item 1 now
-            else:
-                second_done.set()
-
-    helpers.run_blocks(run, range(2))
-    return threads[0] is threading.current_thread() and threads[1] is not threads[0]
 
 
 # 44.1 -> 48 kHz is one branch group, 44.1 -> 22.05 kHz has one branch (up = 1),
@@ -371,104 +345,82 @@ class TestResample:
         x = np.random.default_rng(3).standard_normal(max(lengths)) * 0.3
         for n in lengths:
             want = padded_gemm(x[:n], src, dst)
-            # Three helpers are more than the pool has threads on a 2-core machine,
-            # so the caller also runs chunks it submitted that no helper started.
-            for helpers in (0, 1, 3):
-                monkeypatch.setattr(audio_io.block_helpers, "helpers", helpers)
+            # Three chunks are more than the pool has threads on a 1- or 2-core machine: the last waits in its queue.
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(audio_io, "_cores", lambda: cores)
                 got = resample(AudioBuffer(x[:n], src), dst).samples
-                assert np.array_equal(got, want), f"{n} samples, {helpers} helpers"
-
-    def test_finishes_when_no_helper_starts(self, monkeypatch):
-        monkeypatch.setattr(audio_io.block_helpers, "_pool", NeverRuns())
-        monkeypatch.setattr(audio_io.block_helpers, "helpers", 3)
-        x = np.random.default_rng(4).standard_normal(5 * RESAMPLE_BLOCK_PERIODS * 147) * 0.3
-        got = []
-        # On a separate thread, so a wait on a chunk that never starts fails the test instead of hanging it.
-        worker = threading.Thread(target=lambda: got.append(resample(AudioBuffer(x, 44100), 48000).samples),
-                                  daemon=True)
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive(), "resample waited on a chunk no helper started"
-        assert np.array_equal(got[0], padded_gemm(x, 44100, 48000))
+                assert np.array_equal(got, want), f"{n} samples, {cores} cores"
 
     # Alternating +-1.7e308 is finite, but sits at the input Nyquist, where the taps
     # of every branch add up in magnitude: the filter overflows to Inf.
-    @pytest.mark.parametrize("helpers", [0, 1])
-    def test_overflowing_filter_is_rejected(self, helpers, monkeypatch):
+    @pytest.mark.parametrize("spare_cores", [0, 1])
+    def test_overflowing_filter_is_rejected(self, spare_cores, monkeypatch):
         x = np.full(3 * RESAMPLE_BLOCK_PERIODS * 147, 1.7e308)
         x[1::2] *= -1
-        monkeypatch.setattr(audio_io.block_helpers, "helpers", helpers)
-        # The error is the only report: no numpy warning, from this thread or from a helper.
+        monkeypatch.setattr(audio_io, "_cores", lambda: 1 + spare_cores)
+        # The error is the only report: no numpy warning, from this thread or from a pool thread.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="samples contain NaN or Inf"):
                 resample(AudioBuffer(x, 44100), 48000)
         assert [str(w.message) for w in caught] == []
 
-    def test_caller_runs_the_first_item(self):
-        helpers = audio_io.BlockHelpers(1)
-        try:
-            assert a_helper_takes_the_second_item(helpers)
-        finally:
-            helpers._pool.shutdown()
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_every_block_runs_once(self, cores, monkeypatch, block_pool):
+        real_span, starts = audio_io._faded_span, []
 
-    def test_pool_that_never_starts_leaves_every_item_to_the_caller_in_order(self):
-        helpers = audio_io.BlockHelpers(1)
-        helpers._pool = NeverRuns()
-        ran = []
-        helpers.run_blocks(lambda chunk: ran.extend((item, threading.current_thread()) for item in chunk), range(2))
-        assert ran == [(0, threading.current_thread()), (1, threading.current_thread())]
+        def span(source, ramp, lo, hi, out):
+            starts.append(lo)
+            return real_span(source, ramp, lo, hi, out)
 
-    def test_caller_error_waits_for_a_started_helper_chunk_and_discards_it(self):
-        helpers = audio_io.BlockHelpers(1)
-        running, finished = threading.Event(), threading.Event()
+        monkeypatch.setattr(audio_io, "_cores", lambda: cores)
+        monkeypatch.setattr(audio_io, "_faded_span", span)
+        # 44.1 -> 22.05 kHz has one output and 2 inputs per period: block k's input starts at 2 * 1024 * k - 32.
+        for n_blocks in (1, 2, 5):
+            starts.clear()
+            block_pool.futures.clear()
+            n = (n_blocks - 1) * 2 * RESAMPLE_BLOCK_PERIODS + 7
+            x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+            assert np.array_equal(resample(AudioBuffer(x, 44100), 22050).samples, padded_gemm(x, 44100, 22050))
+            assert sorted(starts) == [2 * RESAMPLE_BLOCK_PERIODS * k - RESAMPLE_TAPS_PER_PHASE // 2
+                                      for k in range(n_blocks)]
+            assert len(block_pool.futures) == min(cores, n_blocks)
 
-        def run(chunk):
-            for item in chunk:
-                if item == 0:
-                    assert running.wait(10)
-                    raise ZeroDivisionError
-                running.set()
-                time.sleep(0.05)  # still running when the caller fails
-                finished.set()
-                raise ValueError("discarded")
+    def test_chunk_error_is_raised_once_every_chunk_has_ended(self, monkeypatch, block_pool):
+        real_span, ran = audio_io._faded_span, []
 
-        try:
-            with pytest.raises(ZeroDivisionError):
-                helpers.run_blocks(run, range(2))
-            assert finished.is_set()
-        finally:
-            helpers._pool.shutdown()
+        def span(source, ramp, lo, hi, out):
+            if lo < 0:  # the first block, whichever chunk takes it
+                raise ZeroDivisionError
+            time.sleep(0.02)  # the other chunk is still running when the first block fails
+            ran.append(lo)
+            return real_span(source, ramp, lo, hi, out)
 
-    def test_helper_count_survives_racing_callers(self):
-        helpers = audio_io.BlockHelpers(2)
-        real_pool, futures, wrong = helpers._pool, [], []
+        monkeypatch.setattr(audio_io, "_cores", lambda: 2)
+        monkeypatch.setattr(audio_io, "_faded_span", span)
+        x = np.random.default_rng(6).uniform(-1.0, 1.0, 5 * 2 * RESAMPLE_BLOCK_PERIODS)
+        with pytest.raises(ZeroDivisionError):
+            resample(AudioBuffer(x, 44100), 22050)
+        # The failed chunk took no block after its error; the other chunk ran every block left.
+        assert len(block_pool.futures) == 2 and all(future.done() for future in block_pool.futures)
+        assert len(ran) == 4
+        # The pool's threads are free for the next call.
+        monkeypatch.setattr(audio_io, "_faded_span", real_span)
+        assert np.array_equal(resample(AudioBuffer(x, 44100), 22050).samples, padded_gemm(x, 44100, 22050))
 
-        class Recording:
-            def submit(self, fn, *args):
-                futures.append(real_pool.submit(fn, *args))
-                return futures[-1]
+    def test_racing_callers_each_get_all_their_blocks(self, monkeypatch, block_pool):
+        # Eight tracks resample at once, as at --jobs 8, each on its own length and input.
+        monkeypatch.setattr(audio_io, "_cores", lambda: 3)
+        inputs = [np.random.default_rng(k).uniform(-1.0, 1.0, (3 + k % 4) * 2 * RESAMPLE_BLOCK_PERIODS + k)
+                  for k in range(8)]
+        wants = [padded_gemm(x, 44100, 22050) for x in inputs]
+        wrong = []
 
         def caller(k):
-            for i in range(200):
-                items, ran = range(1 + (i + k) % 4), []
+            for _ in range(10):
+                if not np.array_equal(resample(AudioBuffer(inputs[k], 44100), 22050).samples, wants[k]):
+                    wrong.append(k)
 
-                def run(chunk):
-                    for item in chunk:
-                        ran.append(item)
-                        if item == 2:
-                            raise ZeroDivisionError
-
-                # A call returns having run every item once, or raises the one error.
-                try:
-                    helpers.run_blocks(run, items)
-                    if sorted(ran) != list(items) or 2 in items:
-                        wrong.append((items, ran))
-                except ZeroDivisionError:
-                    if 2 not in items:
-                        wrong.append((items, ran))
-
-        helpers._pool = Recording()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -476,34 +428,35 @@ class TestResample:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert wrong == []
-            assert futures and all(future.done() for future in futures)
-            helpers._pool = real_pool
-            assert a_helper_takes_the_second_item(helpers)
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-            real_pool.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(block_pool.futures) == 8 * 10 * 3 and all(future.done() for future in block_pool.futures)
 
-    @pytest.mark.parametrize("failing", ["caller", "helper"])
-    def test_error_in_a_chunk_is_raised_and_helpers_given_back(self, failing):
-        helpers = audio_io.BlockHelpers(2)
-        caller = threading.current_thread()
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+    def test_forked_child_resamples_on_a_pool_of_its_own(self):
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, 5 * 2 * RESAMPLE_BLOCK_PERIODS)
+        want = resample(AudioBuffer(x, 44100), 22050).samples  # the parent's pool threads are running now
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
 
-        def run(chunk):
-            fails = (threading.current_thread() is caller) == (failing == "caller")
-            for _ in chunk:
-                if fails:
-                    raise ValueError(failing)
-                time.sleep(0.002)  # leaves items for the other threads
+        def child():
+            send.send_bytes(resample(AudioBuffer(x, 44100), 22050).samples.tobytes())
 
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork in a process with threads; the child here only resamples.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+            proc = context.Process(target=child, daemon=True)
+            proc.start()
         try:
-            with pytest.raises(ValueError, match=failing):
-                helpers.run_blocks(run, range(40))
-            assert a_helper_takes_the_second_item(helpers)
+            # A child left with the parent's pool queues its chunks for threads it does not have, and hangs.
+            assert receive.poll(60), "the forked child's resample did not finish"
+            assert receive.recv_bytes() == want.tobytes()
         finally:
-            helpers._pool.shutdown()
+            proc.kill()
+            proc.join()
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(pair=st.sampled_from(RATE_PAIRS), n=st.integers(1, 400000), seed=st.integers(0, 2**32 - 1))
@@ -783,10 +736,10 @@ class TestParsedWavEqualsDecodedBuffer:
 class TestResampleWindow:
     """A windowed resample is the whole track's rows in that window, zero outside the track, with the same peak."""
 
-    @pytest.mark.parametrize("helpers", [0, 1])
+    @pytest.mark.parametrize("spare_cores", [0, 1])
     @pytest.mark.parametrize("src, dst", ORACLE_PAIRS + [(44100, 22050)])
-    def test_equals_zero_padded_slice(self, src, dst, helpers, monkeypatch):
-        monkeypatch.setattr(audio_io.block_helpers, "helpers", helpers)
+    def test_equals_zero_padded_slice(self, src, dst, spare_cores, monkeypatch):
+        monkeypatch.setattr(audio_io, "_cores", lambda: 1 + spare_cores)
         # Buffers start as NaN, not as a fresh mapping's zeros, so every row must be written.
         monkeypatch.setattr(audio_io, "_mapped_empty", lambda n: np.full(n, np.nan))
         buf = AudioBuffer(noise_with_spike(2 * block_frames(src, dst) + 321, 1000), src)
@@ -832,6 +785,7 @@ class TestValidation:
             ("clip_duration_s", float("nan")),
             ("clip_duration_s", float("inf")),
             ("clip_duration_s", 1e305),  # finite, but its sample count is not
+            ("clip_duration_s", 1e-5),  # 0.48 samples at 48 kHz, which round to none
             ("target_sample_rate_hz", -1),
         ],
     )

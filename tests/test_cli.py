@@ -9,7 +9,6 @@ import sys
 import tempfile
 import threading
 import time
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vgmfeat import audio_io, cli, dataset
-from vgmfeat.audio_io import block_helpers, decode_wav
+from vgmfeat.audio_io import decode_wav
 from vgmfeat.dataset import feature_names, fs_name, load_manifest, read_feature_table_csv
 from vgmfeat.synth import write_corpus
 
@@ -125,19 +124,14 @@ class TestExtractCommand:
         err = capsys.readouterr().err
         assert "ghost.wav" in err and "read" in err
 
-    def test_failing_track_gives_back_the_resampler_helpers(self, small_corpus, tmp_path, monkeypatch, capsys):
+    def test_failing_track_gives_back_the_resampler_helpers(self, small_corpus, tmp_path, monkeypatch, capsys,
+                                                             block_pool):
         track = load_manifest((small_corpus / "manifest.csv").read_text())[0]
         (tmp_path / "bad.wav").write_bytes(b"not a wav")
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path,game,genre,title\n{small_corpus / track.path},g,action_rpg,t\n"
                             "bad.wav,g,action_rpg,t\n")
-        futures, real_pool, real_parse = [], block_helpers._pool, dataset.parse_wav
-        bad_tried = threading.Event()
-
-        class Recording:
-            def submit(self, fn, *args):
-                futures.append(real_pool.submit(fn, *args))
-                return futures[-1]
+        real_parse, bad_tried = dataset.parse_wav, threading.Event()
 
         def parse(data):
             if data == b"not a wav":
@@ -150,33 +144,32 @@ class TestExtractCommand:
             assert jobs == 1 or bad_tried.wait(10)
             raise ValueError("boom")
 
-        # Three helpers on any host, more than the pool may have threads: chunks no thread starts only queue.
-        monkeypatch.setattr(block_helpers, "helpers", 3)
-        monkeypatch.setattr(block_helpers, "_pool", Recording())
+        # Three chunks per resample on any host, more than the pool may have threads: the last one waits its turn.
+        monkeypatch.setattr(audio_io, "_cores", lambda: 3)
         monkeypatch.setattr(dataset, "parse_wav", parse)
         monkeypatch.setattr(dataset, "analyze_clip", analyze_fails)
         for jobs in (1, 2):
-            futures.clear()
+            block_pool.futures.clear()
             bad_tried.clear()
             rc = cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--jobs", str(jobs)])
             assert rc == 2
             # The first track's error, in manifest order, whichever failed first.
             assert capsys.readouterr().err == f"error [extract]: {small_corpus / track.path}: analyze: boom\n"
-            # Every chunk offered to a helper has ended or was cancelled.
-            assert futures and all(future.done() for future in futures), jobs
+            # Every chunk submitted to the block pool has ended.
+            assert block_pool.futures and all(future.done() for future in block_pool.futures), jobs
 
     @pytest.mark.parametrize("command", ["report", "preprocess"])
-    def test_loading_ahead_does_not_change_output(self, small_corpus, tmp_path, monkeypatch, command):
+    def test_output_does_not_depend_on_the_core_count(self, small_corpus, tmp_path, monkeypatch, command):
         outs = []
-        for helpers in (0, 1):
-            monkeypatch.setattr(block_helpers, "helpers", helpers)
-            out = tmp_path / f"helpers{helpers}"
+        for cores in (1, 2):
+            monkeypatch.setattr(audio_io, "_cores", lambda: cores)
+            out = tmp_path / f"cores{cores}"
             assert cli.main([command, "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out)]) == 0
             outs.append({name: (out / name).read_bytes() for name in declared_files(out)})
         assert len(outs[0]) == (5 + 9 * 5 if command == "report" else 9 + 1)
         assert outs[0] == outs[1]
 
-    def test_next_track_loads_once_the_last_is_preprocessed(self, small_corpus, tmp_path, monkeypatch):
+    def test_each_track_is_parsed_once_the_one_before_is_preprocessed(self, small_corpus, tmp_path, monkeypatch):
         # Tracks run in order at --jobs 1, so the k-th call of each stage is track k.
         events, parsed, resampled, clip_samples = [], [], [], []
         real_parse, real_preprocess, real_resample = dataset.parse_wav, dataset.preprocess, audio_io.resample
@@ -203,7 +196,7 @@ class TestExtractCommand:
             events.append(("preprocessed", sum(event == "preprocessed" for event, _ in events)))
             return clip
 
-        monkeypatch.setattr(block_helpers, "helpers", 1)
+        monkeypatch.setattr(audio_io, "_cores", lambda: 2)
         monkeypatch.setattr(dataset, "parse_wav", parse)
         monkeypatch.setattr(dataset, "preprocess", preprocess)
         monkeypatch.setattr(audio_io, "resample", resample)
@@ -228,16 +221,16 @@ class TestExtractCommand:
             at_analysis.append(list(parsed))
             return real_analyze(clip, spec)
 
-        # A free block helper, so that nothing but the order of the stages keeps the next parse back.
-        monkeypatch.setattr(block_helpers, "helpers", 1)
+        # Two block chunks per resample, so that a pool thread is free whenever this thread waits on one.
+        monkeypatch.setattr(audio_io, "_cores", lambda: 2)
         monkeypatch.setattr(dataset, "parse_wav", parse)
         monkeypatch.setattr(dataset, "analyze_clip", analyze)
         assert cli.main(["extract", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(tmp_path)]) == 0
         # When track k's analysis starts, tracks 0..k have been parsed, every one on this thread.
         assert at_analysis == [[True] * (k + 1) for k in range(9)]
 
-    @pytest.mark.parametrize("helpers", [0, 1])
-    def test_file_listed_twice_is_loaded_once_per_listing(self, small_corpus, tmp_path, monkeypatch, helpers):
+    @pytest.mark.parametrize("spare_cores", [0, 1])
+    def test_file_listed_twice_is_loaded_once_per_listing(self, small_corpus, tmp_path, monkeypatch, spare_cores):
         a, b, c = (small_corpus / rec.path for rec in load_manifest((small_corpus / "manifest.csv").read_text())[:3])
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,game,genre,title\n" + "".join(f"{p},g,action_rpg,t\n" for p in (a, b, a, c)))
@@ -247,7 +240,7 @@ class TestExtractCommand:
             loads.append((data, threading.current_thread() is threading.main_thread()))
             return real_parse(data)
 
-        monkeypatch.setattr(block_helpers, "helpers", helpers)
+        monkeypatch.setattr(audio_io, "_cores", lambda: 1 + spare_cores)
         monkeypatch.setattr(dataset, "parse_wav", parse)
         assert cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
         assert [data for data, _ in loads] == [p.read_bytes() for p in (a, b, a, c)]
@@ -257,7 +250,8 @@ class TestExtractCommand:
 
     @pytest.mark.parametrize("fails", [False, True], ids=["ok", "fails"])
     @pytest.mark.parametrize("command", ["extract", "report", "preprocess"])
-    def test_no_helper_work_outlives_the_command(self, small_corpus, tmp_path, monkeypatch, command, fails):
+    def test_no_helper_work_outlives_the_command(self, small_corpus, tmp_path, monkeypatch, command, fails,
+                                                 block_pool):
         # Two tracks of each genre, so that report's split and k=3 fit.
         records = load_manifest((small_corpus / "manifest.csv").read_text())
         rows = [(small_corpus / rec.path, genre.token) for genre in sorted({rec.genre for rec in records})
@@ -266,22 +260,12 @@ class TestExtractCommand:
             rows.insert(1, (tmp_path / "ghost.wav", rows[0][1]))  # fails at its read
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,game,genre,title\n" + "".join(f"{p},g,{genre},t\n" for p, genre in rows))
-        futures, real_pool = [], block_helpers._pool
-
-        class Recording:
-            def submit(self, fn, *args):
-                futures.append(real_pool.submit(fn, *args))
-                return futures[-1]
-
-        monkeypatch.setattr(block_helpers, "_pool", Recording())
-        monkeypatch.setattr(block_helpers, "helpers", 1)
+        monkeypatch.setattr(audio_io, "_cores", lambda: 2)
         for jobs in ("1", "2"):
-            futures.clear()
+            block_pool.futures.clear()
             rc = cli.main([command, "--manifest", str(manifest), "--out", str(tmp_path / jobs), "--jobs", jobs])
             assert rc == (2 if fails else 0)
-            assert all(future.done() for future in futures)
-            if jobs == "1":
-                assert futures
+            assert block_pool.futures and all(future.done() for future in block_pool.futures)
 
     def test_truncated_extensible_fmt_is_a_data_error(self, tmp_path, capsys):
         fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 48000, 96000, 2, 16) + b"\x16\x00\x10\x00"
@@ -695,24 +679,40 @@ class TestStagedCommit:
 
 
 class TestOutputMemory:
+    # Runs command on manifests in turn, in a fresh interpreter, so that no earlier test's state
+    # is traced, each under tracemalloc with 25 frames. Prints each run's traced peak and the
+    # largest growths from the second run's end to the last run's end.
+    CHILD = """
+import json, sys, tracemalloc
+from vgmfeat import audio_io, cli
+audio_io._cores = lambda: 1  # one block chunk per resample, on any host
+command, out, *manifests = sys.argv[1:]
+peaks, snapshots = [], []
+for k, manifest in enumerate(manifests):
+    tracemalloc.start(25)
+    try:
+        assert cli.main([command, "--manifest", manifest, "--out", f"{out}/{k}"]) == 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        snapshots.append(tracemalloc.take_snapshot())
+    finally:
+        tracemalloc.stop()
+growth = snapshots[-1].compare_to(snapshots[1], "traceback")[:5]
+print(json.dumps({"peaks": peaks, "growth": ["\\n".join([str(stat), *stat.traceback.format()]) for stat in growth]}))
+"""
+
     @pytest.mark.parametrize("command, first_track", [("summarize", "series/000_*"), ("preprocess", "000_*.wav")])
-    def test_peak_grows_by_less_than_one_track_of_outputs(self, small_corpus, tmp_path, monkeypatch,
-                                                          command, first_track):
+    def test_peak_grows_by_less_than_one_track_of_outputs(self, small_corpus, tmp_path, command, first_track):
         # Each track's outputs are written as soon as it is done: 9 tracks peak no higher than 1
         # but for the table and the file names. Holding them until the last track adds 8 tracks.
-        monkeypatch.setattr(block_helpers, "helpers", 0)
-        peaks = {}
-        for n in (1, 1, 9):  # the first run fills first-call caches, such as the FFT plan
-            out = tmp_path / f"out{n}_{len(peaks)}"
-            argv = [command, "--manifest", str(manifest_of(small_corpus, tmp_path, n)), "--out", str(out)]
-            tracemalloc.start()
-            try:
-                assert cli.main(argv) == 0
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        one_track = sum(path.stat().st_size for path in (tmp_path / "out1_1").glob(first_track))
-        assert peaks[9] - peaks[1] <= one_track, f"{peaks[1] / 1e6:.2f} -> {peaks[9] / 1e6:.2f} MB"
+        # The first run fills first-call caches, such as the FFT plan.
+        manifests = [str(manifest_of(small_corpus, tmp_path, n)) for n in (1, 1, 9)]
+        proc = run_child(["-c", self.CHILD, command, str(tmp_path / "out"), *manifests])
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        one, nine = result["peaks"][1:]
+        one_track = sum(path.stat().st_size for path in (tmp_path / "out" / "1").glob(first_track))
+        assert nine - one <= one_track, (f"{one / 1e6:.2f} -> {nine / 1e6:.2f} MB; largest growths:\n"
+                                         + "\n".join(result["growth"]))
 
 
 @pytest.fixture(scope="module")
@@ -826,6 +826,17 @@ class TestUsageErrors:
         rc = cli.main(["report", "--manifest", "m.csv", "--out", str(tmp_path), f"{flag}={value}"])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    def test_clip_of_no_sample_rejected_before_any_track_is_read(self, small_corpus, tmp_path, monkeypatch,
+                                                                  capsys):
+        # 0.00001 s is 0.48 samples at 48 kHz, which round to none: a clip of no sample cannot be written.
+        monkeypatch.setattr(dataset, "parse_wav", lambda data: pytest.fail("a track was read"))
+        out = tmp_path / "out"
+        rc = cli.main(["preprocess", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
+                       "--clip-seconds", "0.00001"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: clip_duration_s must give a finite sample count of at least 1")
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_fft, empty", [("512", 11), ("1024", 1)])
     def test_empty_mel_bands_rejected_before_extraction(self, small_corpus, tmp_path, capsys, n_fft, empty):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vgmfeat import audio_io, dataset
-from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, block_helpers, encode_wav
+from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, encode_wav
 from vgmfeat.dataset import (
     AnalysisSpec,
     GenreLabel,
@@ -155,19 +155,11 @@ class TestFeatureRow:
             assert feats[f"mfcc_mean_{i}"] == ceps[i].mean()
             assert feats[f"mfcc_range_{i}"] == ceps[i].max() - ceps[i].min()
 
-    def test_analysis_runs_on_the_calling_thread_alone(self, clip, monkeypatch):
-        # The clip's STFT and extractors offer no block to the helpers, however many there are.
-        submitted = []
-
-        class Recording:
-            def submit(self, fn, *args):
-                submitted.append(fn)
-                raise AssertionError("analysis submitted helper work")
-
-        monkeypatch.setattr(block_helpers, "helpers", 3)
-        monkeypatch.setattr(block_helpers, "_pool", Recording())
+    def test_analysis_runs_on_the_calling_thread_alone(self, clip, monkeypatch, block_pool):
+        # The clip's STFT and extractors submit nothing to the block pool, however many cores there are.
+        monkeypatch.setattr(audio_io, "_cores", lambda: 3)
         analyze_clip(clip)
-        assert submitted == []
+        assert block_pool.futures == []
 
 
 class TestAnalysisOracle:
@@ -228,11 +220,11 @@ def traced_peak(call):
 
 
 class TestAnalysisMemory:
-    @pytest.mark.parametrize("helpers", [0, 1])
-    def test_peak_stays_within_one_point_six_magnitudes(self, helpers, monkeypatch):
+    @pytest.mark.parametrize("spare_cores", [0, 1])
+    def test_peak_stays_within_one_point_six_magnitudes(self, spare_cores, monkeypatch):
         # The magnitude, squared in place into the power, is the one full-size array
-        # analyze_clip holds, with or without block helpers; measured at 1.48 magnitudes.
-        monkeypatch.setattr(block_helpers, "helpers", helpers)
+        # analyze_clip holds, whatever the core count; measured at 1.48 magnitudes.
+        monkeypatch.setattr(audio_io, "_cores", lambda: 1 + spare_cores)
         clip, mag_bytes = analysis_clip()
         peak = traced_peak(lambda: analyze_clip(clip))
         assert peak <= 1.6 * mag_bytes, f"{peak / mag_bytes:.2f} magnitudes"
@@ -342,11 +334,11 @@ class TestTrackMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The file and the clip, plus the resampler's per-thread scratch (1.3 MB over these with
-        # one helper): the track decoded to float64 mono would add 7.7 MB, and resampled in full
-        # 7.7 MB more.
+        # The file and the clip, plus the resampler's per-chunk scratch, one chunk per core (1.3 MB
+        # over these on 2 cores): the track decoded to float64 mono would add 7.7 MB, and resampled
+        # in full 7.7 MB more.
         bound = path.stat().st_size + 8 * pre.clip_samples
-        assert peak < bound + 2**20 * (2 + audio_io.block_helpers.helpers), f"{(peak - bound) / 2**20:.2f} MB over"
+        assert peak < bound + 2**20 * (1 + audio_io._cores()), f"{(peak - bound) / 2**20:.2f} MB over"
 
 
 class TestSummarizeByGenre:
