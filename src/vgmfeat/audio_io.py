@@ -89,8 +89,11 @@ class AudioBuffer:
     def n_frames(self) -> int:
         return len(self.samples)
 
-    def frames(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Samples lo..hi, as WavFile.frames gives them: copied into out[:hi - lo] when out is given."""
+    def frames(self, lo: int, hi: int, out: np.ndarray | None = None, raw: np.ndarray | None = None) -> np.ndarray:
+        """Samples lo..hi, as WavFile.frames gives them: copied into out[:hi - lo] when out is given.
+
+        raw is not used: the samples are in memory, with no bytes to read.
+        """
         if out is None:
             return self.samples[lo:hi]
         np.copyto(out[: hi - lo], self.samples[lo:hi])
@@ -158,29 +161,60 @@ def _mapped_empty(n: int) -> np.ndarray:
     return np.frombuffer(mapping, dtype=np.float64)
 
 
+def _mapped_bytes(n: int) -> np.ndarray:
+    """n bytes of _mapped_empty's memory, as uint8."""
+    return _mapped_empty(-(-n // 8)).view(np.uint8)[:n]
+
+
 def _spans(n: int):
     """(lo, hi) spans that cover range(n) in order, each as long as the resampler's largest block scratch."""
     step = RESAMPLE_BLOCK_PERIODS * RESAMPLE_GROUP_SPAN_TAPS * RESAMPLE_TAPS_PER_PHASE
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-class WavFile:
-    """A parsed RIFF/WAVE file: its data chunk's bytes, its format and its frame count.
+def _pread(file, offset: int, n: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Up to n bytes of an open binary file from offset, fewer only at its end, read into scratch[:n].
 
-    Holds a view of the file's bytes, not decoded samples: frames(lo, hi)
-    decodes and mixes down any span of frames on demand. parse_wav has
-    checked the header and every float sample, so frames() cannot fail.
+    Positional reads (os.preadv), so the file's own position is never used and
+    threads may read one file at once. A fresh buffer when scratch is None.
+    """
+    buf = np.empty(n, dtype=np.uint8) if scratch is None else scratch[:n]
+    got = 0
+    while got < n and (step := os.preadv(file.fileno(), [buf[got:]], offset + got)):
+        got += step
+    return buf[:got]
+
+
+class WavFile:
+    """A parsed RIFF/WAVE file: where its data chunk lies, its format and its frame count.
+
+    Holds no samples, only a way to read the data chunk's bytes: a view of
+    the file's bytes, or positional reads of the open file, which must stay
+    open while frames() is called. frames(lo, hi) reads, decodes and mixes
+    down any span of frames on demand. parse_wav has checked the header and
+    every float sample, so frames() fails only if the file shrank since:
+    a short read raises WavDecodeError.
     """
 
-    def __init__(self, raw: memoryview, format_tag: int, n_channels: int, sample_rate_hz: int, bits: int):
+    def __init__(self, read, data_at: int, data_size: int, format_tag: int, n_channels: int,
+                 sample_rate_hz: int, bits: int):
         self.format_tag = format_tag
         self.n_channels = n_channels
         self.sample_rate_hz = sample_rate_hz
         self.bits = bits
-        self.n_frames = len(raw) // (n_channels * bits // 8)  # a trailing partial frame is dropped
-        self._raw = raw
+        self.block_align = n_channels * bits // 8
+        self.n_frames = data_size // self.block_align  # a trailing partial frame is dropped
+        self._read = read
+        self._data_at = data_at
 
-    def frames(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    def _bytes(self, start: int, stop: int, scratch: np.ndarray | None = None):
+        """Bytes start..stop of the data chunk; read into scratch when they come from a file."""
+        got = self._read(self._data_at + start, stop - start, scratch)
+        if len(got) < stop - start:
+            raise WavDecodeError("data chunk cut short: the file shrank after its header was read")
+        return got
+
+    def frames(self, lo: int, hi: int, out: np.ndarray | None = None, raw: np.ndarray | None = None) -> np.ndarray:
         """Frames lo..hi as float64 samples in [-1, 1], averaged over the channels.
 
         Integer samples are scaled by a power of two, which is exact in
@@ -188,11 +222,12 @@ class WavFile:
         32-bit signed ones by 1/2^(bits-1). Float samples, 32- or 64-bit,
         convert exactly. Each frame's value depends on that
         frame alone, so any split into spans gives the same samples. The
-        result goes into out[:hi - lo] when out is given.
+        result goes into out[:hi - lo] when out is given. A file's bytes are
+        read into raw, uint8 scratch of at least (hi - lo) * block_align
+        bytes, when it is given.
         """
         n, c = hi - lo, self.n_channels
-        width = self.bits // 8
-        raw = self._raw[lo * c * width : hi * c * width]
+        raw = self._bytes(lo * self.block_align, hi * self.block_align, raw)
         out = np.empty(n) if out is None else out[:n]
         x = out if c == 1 else np.empty(n * c)
         if self.bits == 8:
@@ -209,40 +244,55 @@ class WavFile:
         elif self.format_tag == WAVE_FORMAT_PCM:  # 32-bit integers
             np.multiply(np.frombuffer(raw, dtype="<i4"), 2.0**-31, out=x, dtype=np.float64)
         else:
-            x[:] = np.frombuffer(raw, dtype=f"<f{width}")
+            x[:] = np.frombuffer(raw, dtype=f"<f{self.bits // 8}")
         if c > 1:
             x.reshape(n, c).mean(axis=1, out=out)
         return out
 
 
-def parse_wav(data: bytes) -> WavFile:
-    """Parse a RIFF/WAVE byte string: check its header and float samples, decode nothing.
+def parse_wav(data) -> WavFile:
+    """Parse a RIFF/WAVE file, given as its bytes or as a binary file open on it: read its headers, decode nothing.
 
-    Handles PCM 8-, 16-, 24- and 32-bit and IEEE float-32 and -64 data chunks (see
-    WavFile.frames). A data chunk sized 0xFFFFFFFF (a streamed file) runs to
-    end of file. Float samples are checked for NaN and Inf in spans, with
-    no full-length array. An EXTENSIBLE header's valid-bits field is not
-    read: 24 valid bits in a 32-bit container sit in its top three bytes,
-    so they decode as 32-bit samples to the same values.
+    From an open file, only the chunk headers and the float samples are read,
+    with positional reads (see _pread); the file must stay open while the
+    returned WavFile is read. Handles PCM 8-, 16-, 24- and 32-bit and IEEE
+    float-32 and -64 data chunks (see WavFile.frames). A data chunk sized
+    0xFFFFFFFF (a streamed file) runs to end of file. Float samples are
+    checked for NaN and Inf in spans, with no full-length array. An
+    EXTENSIBLE header's valid-bits field is not read: 24 valid bits in a
+    32-bit container sit in its top three bytes, so they decode as 32-bit
+    samples to the same values.
 
     Raises:
         WavDecodeError: malformed container; the message names the chunk.
         UnsupportedWavError: valid container with an unhandled codec.
+        OSError: a read of the file failed.
     """
-    if len(data) < 12 or data[0:4] != b"RIFF":
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        view = memoryview(data)  # chunk bodies are views: the data chunk is never copied
+        size = len(view)
+
+        def read(offset, n, scratch=None):
+            return view[offset : offset + n]
+    else:
+        size = os.fstat(data.fileno()).st_size
+
+        def read(offset, n, scratch=None):
+            return _pread(data, offset, n, scratch)
+
+    head = bytes(read(0, 12))
+    if len(head) < 12 or head[0:4] != b"RIFF":
         raise WavDecodeError("missing RIFF chunk id")
-    if data[8:12] != b"WAVE":
+    if head[8:12] != b"WAVE":
         raise WavDecodeError("missing WAVE form type")
 
     fmt = None
-    raw = None
+    chunk = None  # the data chunk's (offset, bytes present)
     pos = 12
-    view = memoryview(data)  # chunk bodies are views: the data chunk is never copied
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = view[pos + 8 : pos + 8 + chunk_size]
+    while len(header := bytes(read(pos, 8))) == 8:
+        chunk_id, chunk_size = struct.unpack("<4sI", header)
         if chunk_id == b"fmt ":
+            body = bytes(read(pos + 8, min(chunk_size, 40)))
             if chunk_size < 16 or len(body) < 16:
                 raise WavDecodeError("truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
@@ -252,17 +302,16 @@ def parse_wav(data: bytes) -> WavFile:
                 (sub_format,) = struct.unpack_from("<H", body, 24)
                 fmt = (sub_format,) + fmt[1:]
         elif chunk_id == b"data":
+            chunk = (pos + 8, max(0, min(chunk_size, size - pos - 8)))
             if chunk_size == WAV_STREAMED_SIZE:
-                raw = body  # the rest of the file; nothing can follow it
-                break
-            if len(body) < chunk_size:
+                break  # the rest of the file; nothing can follow it
+            if chunk[1] < chunk_size:
                 raise WavDecodeError("truncated data chunk")
-            raw = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
         raise WavDecodeError("missing fmt chunk")
-    if raw is None:
+    if chunk is None:
         raise WavDecodeError("missing data chunk")
 
     format_tag, n_channels, sample_rate, _, block_align, bits = fmt
@@ -280,16 +329,20 @@ def parse_wav(data: bytes) -> WavFile:
             f"fmt chunk declares block_align {block_align}, not {n_channels} channels x {bits} bits / 8"
         )
 
-    wav = WavFile(raw, format_tag, n_channels, int(sample_rate), bits)
+    wav = WavFile(read, *chunk, format_tag, n_channels, int(sample_rate), bits)
     if format_tag == WAVE_FORMAT_IEEE_FLOAT:
-        floats = np.frombuffer(raw, dtype=f"<f{bits // 8}", count=wav.n_frames * n_channels)
-        if not all(np.isfinite(floats[lo:hi]).all() for lo, hi in _spans(len(floats))):
-            raise WavDecodeError("data chunk holds NaN or Inf samples")
+        width = bits // 8
+        spans = _spans(wav.n_frames * n_channels)
+        scratch = _mapped_bytes(spans[0][1] * width) if spans else None
+        for lo, hi in spans:
+            floats = np.frombuffer(wav._bytes(lo * width, hi * width, scratch), dtype=f"<f{width}")
+            if not np.isfinite(floats).all():
+                raise WavDecodeError("data chunk holds NaN or Inf samples")
     return wav
 
 
-def decode_wav(data: bytes) -> AudioBuffer:
-    """Decode a RIFF/WAVE byte string into a mono AudioBuffer: parse_wav, then every frame.
+def decode_wav(data) -> AudioBuffer:
+    """Decode a RIFF/WAVE file, given as parse_wav takes it, into a mono AudioBuffer: parse_wav, then every frame.
 
     Raises:
         WavDecodeError: malformed container; the message names the chunk.
@@ -364,15 +417,23 @@ def _branch_groups(up: int, down: int, n_branches: int):
     return groups
 
 
-def _faded_span(source, ramp: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-    """Frames lo..hi of source, with zeros outside it and its first and last len(ramp) frames faded, in out."""
+def _raw_scratch(source, n_frames: int) -> np.ndarray | None:
+    """Mapped scratch (see _mapped_bytes) for n_frames of a WavFile's bytes; None for an AudioBuffer."""
+    return _mapped_bytes(n_frames * source.block_align) if isinstance(source, WavFile) else None
+
+
+def _faded_span(source, ramp: np.ndarray, lo: int, hi: int, out: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
+    """Frames lo..hi of source, with zeros outside it and its first and last len(ramp) frames faded, in out.
+
+    raw is the scratch source.frames reads a file's bytes into (see _raw_scratch).
+    """
     n_in, n_fade = source.n_frames, len(ramp)
     seg = out[: hi - lo]
     a = min(max(lo, 0), hi)
     b = max(min(hi, n_in), a)
     seg[: a - lo] = 0.0
     seg[b - lo :] = 0.0
-    source.frames(a, b, out=seg[a - lo : b - lo])
+    source.frames(a, b, out=seg[a - lo : b - lo], raw=raw)
     for at, piece in ((0, ramp), (n_in - n_fade, ramp[::-1])):
         c, d = max(a, at), min(b, at + n_fade)
         if c < d:
@@ -475,8 +536,9 @@ def resample(source, target_rate: int, window: tuple[int, int] | None = None) ->
     if target_rate == source.sample_rate_hz:
         spans = _spans(n_in)
         scratch = _mapped_empty(spans[0][1])  # mapped, as run's scratch below is
+        raw = _raw_scratch(source, spans[0][1])
         for lo, hi in spans:
-            seg = source.frames(lo, hi, out=scratch)
+            seg = source.frames(lo, hi, out=scratch, raw=raw)
             peaks.append(_abs_peak(seg))
             _keep(out, first, lo, seg)
         return _with_peak(AudioBuffer(out, source.sample_rate_hz, _known_finite=True), peaks)
@@ -498,21 +560,24 @@ def resample(source, target_rate: int, window: tuple[int, int] | None = None) ->
 
     def run(block_starts):
         # Scratch per chunk: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB) of kernel
-        # rows, one block's input span, and one block's output periods, a row each. Each is
-        # mapped (see _mapped_empty), so its pages go back to the OS when the call ends.
+        # rows, one block's input span and, for a WavFile, its bytes, and one block's output
+        # periods, a row each. Each is mapped (see _mapped_empty), so its pages go back to
+        # the OS when the call ends.
         tmp = _mapped_empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
         span = _mapped_empty(max(0, block_periods - 1) * down + width)
+        raw = _raw_scratch(source, len(span))
         table = _mapped_empty(block_periods * cols).reshape(block_periods, cols)
+        # Period k's input row: span[k * down : k * down + width], one view made once per chunk.
+        windows = np.ndarray((block_periods, width), buffer=span, strides=(down * 8, 8))
         for p0 in block_starts:
             rows = min(RESAMPLE_BLOCK_PERIODS, n_per - p0)
             lo = p0 * down - RESAMPLE_TAPS_PER_PHASE // 2
-            seg = _faded_span(source, ramp, lo, lo + (rows - 1) * down + width, span)
-            spans = np.lib.stride_tricks.sliding_window_view(seg, width)[::down]
+            _faded_span(source, ramp, lo, lo + (rows - 1) * down + width, span, raw)
             # An overflow is an error raised below, not a warning printed by whichever thread ran the block.
             with np.errstate(over="ignore", invalid="ignore"):
                 for offset, ja, jb, kernel in groups:
                     block = tmp[: rows * len(kernel)].reshape(rows, len(kernel))
-                    np.copyto(block, spans[:, offset : offset + len(kernel)])
+                    np.copyto(block, windows[:rows, offset : offset + len(kernel)])
                     np.matmul(block, kernel, out=table[:rows, ja:jb])
             done = table.reshape(-1)[: min(rows * cols, n_out - p0 * cols)]  # the block's rows within the track
             peaks.append(_abs_peak(done))

@@ -247,23 +247,29 @@ def release_free_heap():
 
 
 def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
-    """Read, parse and preprocess one WAV file, then return last(clip).
+    """Open, parse and preprocess one WAV file, then return last(clip).
 
-    The samples stay undecoded in the file's bytes until resample decodes
-    them block by block; a bad header or a NaN or Inf float sample fails at
-    the decode stage. Any failure is re-raised as TrackError carrying the
-    track path and the pipeline stage that broke; `last_stage` names the
-    stage `last` runs. The file's bytes are freed before `last` runs, and
-    once it returns, the heap it freed goes back to the OS (release_free_heap).
+    The file is opened at the read stage and only its headers are read at
+    the decode stage, where a bad header or a NaN or Inf float sample fails.
+    The samples stay in the file until resample's blocks read and decode
+    them span by span with positional reads; a file that shrinks meanwhile
+    fails at the preprocess stage. Where the OS has no positional reads
+    (Windows), or the file has no offsets (a pipe), its bytes are read whole
+    at the read stage instead. Any failure is re-raised as TrackError
+    carrying the track path and the pipeline stage that broke; `last_stage`
+    names the stage `last` runs. The file is closed before `last` runs, and
+    once it returns, the heap it freed goes back to the OS
+    (release_free_heap).
     """
     stage = "read"
     try:
-        data = path.read_bytes()
-        stage = "decode"
-        wav = parse_wav(data)
-        stage = "preprocess"
-        clip = preprocess(wav, pre)
-        del data, wav  # the file's bytes die here, before `last` runs
+        with open(path, "rb") as file:
+            source = file if hasattr(os, "preadv") and file.seekable() else file.read()
+            stage = "decode"
+            wav = parse_wav(source)
+            stage = "preprocess"
+            clip = preprocess(wav, pre)
+        del source, wav  # the file is closed, and any bytes read from it die here, before `last` runs
         stage = last_stage
         result = last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:

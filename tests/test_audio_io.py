@@ -1,7 +1,9 @@
+import gc
 import multiprocessing
 import os
 import struct
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -96,11 +98,27 @@ MALFORMED_WAVS = {
 }
 
 
-def decodes_or_raises_vgmfeat_error(data):
+def decoded(source):
+    """decode_wav(source)'s rate and sample bits, or the type and message of the VgmfeatError it raised."""
     try:
-        return isinstance(decode_wav(data), AudioBuffer)
-    except VgmfeatError:
-        return True
+        buf = decode_wav(source)
+    except VgmfeatError as exc:
+        return type(exc), str(exc)
+    return buf.sample_rate_hz, buf.samples.tobytes()
+
+
+def on_disk(data):
+    """A temporary file holding data, open for reading and writing."""
+    file = tempfile.TemporaryFile()
+    file.write(data)
+    file.flush()
+    return file
+
+
+def decodes_or_raises_vgmfeat_error(data):
+    """decode_wav gives an AudioBuffer or raises VgmfeatError, and the same from a file holding the bytes."""
+    with on_disk(data) as file:
+        return decoded(data) == decoded(file)
 
 
 class TestDecodeWav:
@@ -260,6 +278,8 @@ class TestDecodeWav:
         assert got.sample_rate_hz == 48000
         assert np.array_equal(got.samples, want)
         assert len(want) == 2
+        with on_disk(bytes(streamed)) as file:  # read from disk, the data chunk runs to the file's size
+            assert decoded(file) == (48000, want.tobytes())
 
     @pytest.mark.parametrize("block", [0, 2, 6, 8])
     def test_block_align_must_match_channels_and_bits(self, block):
@@ -275,7 +295,7 @@ class TestDecodeWav:
 
 
 class TestDecodeWavRobustness:
-    """decode_wav returns an AudioBuffer or raises VgmfeatError, whatever the bytes."""
+    """decode_wav returns an AudioBuffer or raises VgmfeatError, whatever the bytes, and the same from a file."""
 
     @pytest.mark.parametrize("name", sorted(SAMPLE_WAVS) + sorted(MALFORMED_WAVS))
     def test_every_prefix(self, name):
@@ -285,7 +305,7 @@ class TestDecodeWavRobustness:
                 decode_wav(raw)
         else:
             assert isinstance(decode_wav(raw), AudioBuffer)
-        for n in range(len(raw)):
+        for n in range(len(raw) + 1):  # every prefix, and the whole file
             assert decodes_or_raises_vgmfeat_error(raw[:n]), n
 
     @settings(derandomize=True, max_examples=400, deadline=None)
@@ -369,9 +389,9 @@ class TestResample:
     def test_every_block_runs_once(self, cores, monkeypatch, block_pool):
         real_span, starts = audio_io._faded_span, []
 
-        def span(source, ramp, lo, hi, out):
+        def span(source, ramp, lo, hi, out, raw):
             starts.append(lo)
-            return real_span(source, ramp, lo, hi, out)
+            return real_span(source, ramp, lo, hi, out, raw)
 
         monkeypatch.setattr(audio_io, "_cores", lambda: cores)
         monkeypatch.setattr(audio_io, "_faded_span", span)
@@ -389,12 +409,12 @@ class TestResample:
     def test_chunk_error_is_raised_once_every_chunk_has_ended(self, monkeypatch, block_pool):
         real_span, ran = audio_io._faded_span, []
 
-        def span(source, ramp, lo, hi, out):
+        def span(source, ramp, lo, hi, out, raw):
             if lo < 0:  # the first block, whichever chunk takes it
                 raise ZeroDivisionError
             time.sleep(0.02)  # the other chunk is still running when the first block fails
             ran.append(lo)
-            return real_span(source, ramp, lo, hi, out)
+            return real_span(source, ramp, lo, hi, out, raw)
 
         monkeypatch.setattr(audio_io, "_cores", lambda: 2)
         monkeypatch.setattr(audio_io, "_faded_span", span)
@@ -506,6 +526,27 @@ class TestResample:
         buf = AudioBuffer(np.zeros(10), 44100)
         with pytest.raises(ValueError):
             resample(buf, 0)
+
+    def test_no_allocation_outlives_its_block(self):
+        # 10 s at 44.1 -> 48 kHz is 3 blocks, so 20 calls run 60.
+        x = AudioBuffer(np.random.default_rng(3).uniform(-1.0, 1.0, 10 * 44100), 44100)
+        resample(x, 48000)  # the pool's threads and numpy's caches are made before tracing
+        calls = 20
+        tracemalloc.start()
+        try:
+            resample(x, 48000)
+            gc.collect()
+            before = tracemalloc.take_snapshot()
+            for _ in range(calls):
+                resample(x, 48000)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+        growth = after.filter_traces(own).compare_to(before.filter_traces(own), "lineno")
+        # Fewer live blocks gained than calls made: no allocation per block, or per call, is kept.
+        assert sum(stat.count_diff for stat in growth) < calls, [str(stat) for stat in growth[:5]]
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
@@ -719,6 +760,8 @@ class TestParsedWavEqualsDecodedBuffer:
         assert (wav.n_frames, wav.sample_rate_hz) == (len(buf.samples), buf.sample_rate_hz)
         assert outcome(lambda: resample(wav, dst)) == outcome(lambda: resample(buf, dst))
         assert outcome(lambda: preprocess(wav, spec)) == outcome(lambda: composed(buf, spec))
+        with on_disk(wav_data) as file:  # each block reads its span's bytes from the file
+            assert outcome(lambda: preprocess(parse_wav(file), spec)) == outcome(lambda: composed(buf, spec))
 
     @pytest.mark.parametrize("src, dst", ORACLE_PAIRS + [(44100, 22050)])
     @pytest.mark.parametrize("n", [1, 40, 5000])

@@ -133,11 +133,11 @@ class TestExtractCommand:
                             "bad.wav,g,action_rpg,t\n")
         real_parse, bad_tried = dataset.parse_wav, threading.Event()
 
-        def parse(data):
-            if data == b"not a wav":
+        def parse(file):
+            if Path(file.name).name == "bad.wav":
                 bad_tried.set()
                 time.sleep(0.2)  # still parsing when the first track fails
-            return real_parse(data)
+            return real_parse(file)
 
         def analyze_fails(clip, spec):
             # At --jobs 2, fail only once the second track's parse has begun, so its error is there to be dropped.
@@ -176,8 +176,8 @@ class TestExtractCommand:
 
         def parse(data):
             k = sum(event == "parse" for event, _ in events)
-            # The track before's parsed file, which holds the file's bytes (bytes cannot be
-            # weakly referenced), may not be alive; its clip is, for the analysis.
+            # The track before's parsed file, which holds its open file, may not be alive; its
+            # clip is, for the analysis.
             events.append(("parse", k))
             if k:
                 events.append(("previous track freed", parsed[k - 1]() is None))
@@ -236,14 +236,14 @@ class TestExtractCommand:
         manifest.write_text("path,game,genre,title\n" + "".join(f"{p},g,action_rpg,t\n" for p in (a, b, a, c)))
         loads, real_parse = [], dataset.parse_wav
 
-        def parse(data):
-            loads.append((data, threading.current_thread() is threading.main_thread()))
-            return real_parse(data)
+        def parse(file):
+            loads.append((file.name, threading.current_thread() is threading.main_thread()))
+            return real_parse(file)
 
         monkeypatch.setattr(audio_io, "_cores", lambda: 1 + spare_cores)
         monkeypatch.setattr(dataset, "parse_wav", parse)
         assert cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
-        assert [data for data, _ in loads] == [p.read_bytes() for p in (a, b, a, c)]
+        assert [name for name, _ in loads] == [str(p) for p in (a, b, a, c)]
         assert [on_main for _, on_main in loads] == [True] * 4
         rows = (tmp_path / "o" / "features.csv").read_text().splitlines()
         assert rows[1] == rows[3]
@@ -303,6 +303,49 @@ class TestExtractCommand:
             pre = tmp_path / f"pre{jobs}"
             assert cli.main(["preprocess", "--manifest", str(manifest), "--out", str(pre), "--jobs", jobs]) == 0
             assert (pre / "manifest.csv").read_text() == "path,game,genre,title\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_file_that_shrinks_after_its_header_is_read_is_a_track_error(self, small_corpus, tmp_path,
+                                                                         monkeypatch, capsys, jobs):
+        track = load_manifest((small_corpus / "manifest.csv").read_text())[0]
+        wav, out = tmp_path / "shrinks.wav", tmp_path / "o"
+        wav.write_bytes((small_corpus / track.path).read_bytes())
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,game,genre,title\nshrinks.wav,g,action_rpg,t\n")
+        assert cli.main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*")}
+        capsys.readouterr()
+        real_parse = dataset.parse_wav
+
+        def parse(file):
+            parsed = real_parse(file)
+            os.truncate(file.name, wav.stat().st_size // 2)  # half its frames are gone before any is read
+            return parsed
+
+        monkeypatch.setattr(dataset, "parse_wav", parse)
+        assert cli.main(["extract", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == (f"error [extract]: {wav}: preprocess: "
+                                           "data chunk cut short: the file shrank after its header was read\n")
+        assert {p: p.read_bytes() for p in out.rglob("*")} == before
+
+    def test_reading_the_whole_file_where_there_are_no_positional_reads_gives_the_same_table(
+            self, small_corpus, tmp_path, monkeypatch):
+        real_parse, sources = dataset.parse_wav, []
+
+        def parse(source):
+            sources.append(type(source))
+            return real_parse(source)
+
+        monkeypatch.setattr(dataset, "parse_wav", parse)
+        tables = []
+        for positional in (True, False):
+            if not positional:
+                monkeypatch.delattr(os, "preadv")  # as on Windows
+            out = tmp_path / str(positional)
+            assert cli.main(["extract", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out)]) == 0
+            tables.append((out / "features.csv").read_bytes())
+        assert bytes not in sources[:9] and sources[9:] == [bytes] * 9
+        assert tables[0] == tables[1]
 
     def test_jobs_do_not_change_output(self, small_corpus, tmp_path):
         outs = []

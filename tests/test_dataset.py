@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -300,6 +302,19 @@ class TestExtractTrack:
         assert "silent.wav" in str(err.value)
         assert err.value.stage == "preprocess"
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_track_from_a_pipe_gives_the_file_clip(self, tmp_path):
+        data = encode_wav(AudioBuffer(sine(440.0, 16.0, 44100), 44100), "pcm16")
+        (tmp_path / "file.wav").write_bytes(data)
+        os.mkfifo(tmp_path / "pipe.wav")
+        writer = threading.Thread(target=(tmp_path / "pipe.wav").write_bytes, args=(data,), daemon=True)
+        writer.start()
+        clips = [dataset.process_track(tmp_path / name, PreprocessSpec(), "x", lambda clip: clip.samples.tobytes())
+                 for name in ("pipe.wav", "file.wav")]
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert clips[0] == clips[1]
+
     def test_missing_file_error(self):
         rec = TrackRecord("/nonexistent/nope.wav", "g", GenreLabel.ACTION_RPG, "t")
         with pytest.raises(TrackError) as err:
@@ -319,14 +334,17 @@ class TestExtractTrack:
 
 
 class TestTrackMemory:
-    def test_track_path_holds_no_full_length_decoded_array(self, tmp_path, monkeypatch):
-        # 20 s of 96 kHz 24-bit stereo: its frames decoded to float64 would take 2.7 times the file's size.
-        rate, n = 96000, 20 * 96000
-        path = tmp_path / "hires.wav"
-        path.write_bytes(wav_bytes(pcm_bytes(np.random.default_rng(24).integers(-2**23, 2**23, (n, 2)), 24),
-                                   1, 2, rate, 24))
+    """process_track holds the clip and the resampler's scratch, and nothing the size of the file."""
+
+    @staticmethod
+    def peak_over_bound(tmp_path, monkeypatch, rate, channels, bits, seconds, chunk_mb):
+        ints = np.random.default_rng(24).integers(-2 ** (bits - 1), 2 ** (bits - 1), (seconds * rate, channels))
+        path = tmp_path / "track.wav"
+        path.write_bytes(wav_bytes(pcm_bytes(ints, bits), 1, channels, rate, bits))
+        del ints
         # The clip and the resampler's scratch made on the heap, where tracemalloc sees them, not in mappings.
         monkeypatch.setattr(audio_io, "_mapped_empty", np.empty, raising=False)
+        monkeypatch.setattr(audio_io, "_cores", lambda: 2)
         pre = PreprocessSpec()
         tracemalloc.start()
         try:
@@ -334,11 +352,21 @@ class TestTrackMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The file and the clip, plus the resampler's per-chunk scratch, one chunk per core (1.3 MB
-        # over these on 2 cores): the track decoded to float64 mono would add 7.7 MB, and resampled
-        # in full 7.7 MB more.
-        bound = path.stat().st_size + 8 * pre.clip_samples
-        assert peak < bound + 2**20 * (1 + audio_io._cores()), f"{(peak - bound) / 2**20:.2f} MB over"
+        # The clip, plus the resampler's scratch for each of its 2 chunks: up to 2 MB of kernel rows,
+        # one block's input span and its bytes, and one block's output periods, chunk_mb in all.
+        return peak - (8 * pre.clip_samples + 2 * chunk_mb * 2**20)
+
+    def test_track_path_holds_no_full_length_decoded_array(self, tmp_path, monkeypatch):
+        # 20 s of 96 kHz 24-bit stereo: its frames decoded to float64 would take 2.7 times the file's size,
+        # 11 MB. A chunk's scratch is 0.6 MB at 96 -> 48 kHz.
+        over = self.peak_over_bound(tmp_path, monkeypatch, 96000, 2, 24, 20, chunk_mb=1)
+        assert over < 2**20, f"{over / 2**20:.2f} MB over"
+
+    def test_long_track_path_holds_nothing_the_size_of_its_file(self, tmp_path, monkeypatch):
+        # 240 s of 44.1 kHz 16-bit mono: the file, 20 MB, is 3.7 times the clip. A chunk's scratch is
+        # 4.4 MB at 44.1 -> 48 kHz.
+        over = self.peak_over_bound(tmp_path, monkeypatch, 44100, 1, 16, 240, chunk_mb=5)
+        assert over < 2**20, f"{over / 2**20:.2f} MB over"
 
 
 class TestSummarizeByGenre:
