@@ -13,6 +13,7 @@ import os
 import queue
 import struct
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass, field
 
@@ -89,11 +90,8 @@ class AudioBuffer:
     def n_frames(self) -> int:
         return len(self.samples)
 
-    def frames(self, lo: int, hi: int, out: np.ndarray | None = None, raw: np.ndarray | None = None) -> np.ndarray:
-        """Samples lo..hi, as WavFile.frames gives them: copied into out[:hi - lo] when out is given.
-
-        raw is not used: the samples are in memory, with no bytes to read.
-        """
+    def frames(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Samples lo..hi, as WavFile.frames gives them: copied into out[:hi - lo] when out is given."""
         if out is None:
             return self.samples[lo:hi]
         np.copyto(out[: hi - lo], self.samples[lo:hi])
@@ -172,28 +170,17 @@ def _spans(n: int):
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _pread(file, offset: int, n: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Up to n bytes of an open binary file from offset, fewer only at its end, read into scratch[:n].
-
-    Positional reads (os.preadv), so the file's own position is never used and
-    threads may read one file at once. A fresh buffer when scratch is None.
-    """
-    buf = np.empty(n, dtype=np.uint8) if scratch is None else scratch[:n]
-    got = 0
-    while got < n and (step := os.preadv(file.fileno(), [buf[got:]], offset + got)):
-        got += step
-    return buf[:got]
-
-
 class WavFile:
     """A parsed RIFF/WAVE file: where its data chunk lies, its format and its frame count.
 
     Holds no samples, only a way to read the data chunk's bytes: a view of
     the file's bytes, or positional reads of the open file, which must stay
-    open while frames() is called. frames(lo, hi) reads, decodes and mixes
-    down any span of frames on demand. parse_wav has checked the header and
-    every float sample, so frames() fails only if the file shrank since:
-    a short read raises WavDecodeError.
+    open while frames() is called. Each thread that reads the file reads
+    into byte scratch of its own, which lives as long as the WavFile.
+    frames(lo, hi) reads, decodes, checks and mixes down any span of frames
+    on demand. parse_wav has checked the header, so frames() fails only on
+    a float sample that is NaN or Inf, or if the file shrank since: either
+    raises WavDecodeError.
     """
 
     def __init__(self, read, data_at: int, data_size: int, format_tag: int, n_channels: int,
@@ -207,27 +194,21 @@ class WavFile:
         self._read = read
         self._data_at = data_at
 
-    def _bytes(self, start: int, stop: int, scratch: np.ndarray | None = None):
-        """Bytes start..stop of the data chunk; read into scratch when they come from a file."""
-        got = self._read(self._data_at + start, stop - start, scratch)
-        if len(got) < stop - start:
-            raise WavDecodeError("data chunk cut short: the file shrank after its header was read")
-        return got
-
-    def frames(self, lo: int, hi: int, out: np.ndarray | None = None, raw: np.ndarray | None = None) -> np.ndarray:
+    def frames(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """Frames lo..hi as float64 samples in [-1, 1], averaged over the channels.
 
         Integer samples are scaled by a power of two, which is exact in
         float64: 8-bit unsigned samples as (b - 128) / 128, 16-, 24- and
         32-bit signed ones by 1/2^(bits-1). Float samples, 32- or 64-bit,
-        convert exactly. Each frame's value depends on that
-        frame alone, so any split into spans gives the same samples. The
-        result goes into out[:hi - lo] when out is given. A file's bytes are
-        read into raw, uint8 scratch of at least (hi - lo) * block_align
-        bytes, when it is given.
+        convert exactly, and a NaN or Inf among them raises WavDecodeError.
+        Each frame's value depends on that frame alone, so any split into
+        spans gives the same samples. The result goes into out[:hi - lo] when
+        out is given.
         """
         n, c = hi - lo, self.n_channels
-        raw = self._bytes(lo * self.block_align, hi * self.block_align, raw)
+        raw = self._read(self._data_at + lo * self.block_align, n * self.block_align)
+        if len(raw) < n * self.block_align:
+            raise WavDecodeError("data chunk cut short: the file shrank after its header was read")
         out = np.empty(n) if out is None else out[:n]
         x = out if c == 1 else np.empty(n * c)
         if self.bits == 8:
@@ -245,6 +226,8 @@ class WavFile:
             np.multiply(np.frombuffer(raw, dtype="<i4"), 2.0**-31, out=x, dtype=np.float64)
         else:
             x[:] = np.frombuffer(raw, dtype=f"<f{self.bits // 8}")
+            if not np.isfinite(x).all():
+                raise WavDecodeError("data chunk holds NaN or Inf samples")
         if c > 1:
             x.reshape(n, c).mean(axis=1, out=out)
         return out
@@ -253,15 +236,15 @@ class WavFile:
 def parse_wav(data) -> WavFile:
     """Parse a RIFF/WAVE file, given as its bytes or as a binary file open on it: read its headers, decode nothing.
 
-    From an open file, only the chunk headers and the float samples are read,
-    with positional reads (see _pread); the file must stay open while the
-    returned WavFile is read. Handles PCM 8-, 16-, 24- and 32-bit and IEEE
-    float-32 and -64 data chunks (see WavFile.frames). A data chunk sized
-    0xFFFFFFFF (a streamed file) runs to end of file. Float samples are
-    checked for NaN and Inf in spans, with no full-length array. An
-    EXTENSIBLE header's valid-bits field is not read: 24 valid bits in a
-    32-bit container sit in its top three bytes, so they decode as 32-bit
-    samples to the same values.
+    From an open file, only the chunk headers are read, with positional
+    reads (os.preadv), so the file's own position is never used and threads
+    may read it at once; the file must stay open while the returned WavFile
+    is read. Handles PCM 8-, 16-, 24- and 32-bit and IEEE float-32 and -64
+    data chunks (see WavFile.frames, which checks float samples for NaN and
+    Inf as it decodes them). A data chunk sized 0xFFFFFFFF (a streamed file)
+    runs to end of file. An EXTENSIBLE header's valid-bits field is not
+    read: 24 valid bits in a 32-bit container sit in its top three bytes, so
+    they decode as 32-bit samples to the same values.
 
     Raises:
         WavDecodeError: malformed container; the message names the chunk.
@@ -272,13 +255,21 @@ def parse_wav(data) -> WavFile:
         view = memoryview(data)  # chunk bodies are views: the data chunk is never copied
         size = len(view)
 
-        def read(offset, n, scratch=None):
+        def read(offset, n):
             return view[offset : offset + n]
     else:
         size = os.fstat(data.fileno()).st_size
+        local = threading.local()  # each thread's byte scratch, grown to the largest span it read
 
-        def read(offset, n, scratch=None):
-            return _pread(data, offset, n, scratch)
+        def read(offset, n):
+            """Up to n bytes from offset, fewer only at end of file, in the calling thread's scratch."""
+            buf = getattr(local, "scratch", None)
+            if buf is None or len(buf) < n:
+                buf = local.scratch = _mapped_bytes(n)
+            buf, got = buf[:n], 0
+            while got < n and (step := os.preadv(data.fileno(), [buf[got:]], offset + got)):
+                got += step
+            return buf[:got]
 
     head = bytes(read(0, 12))
     if len(head) < 12 or head[0:4] != b"RIFF":
@@ -329,16 +320,7 @@ def parse_wav(data) -> WavFile:
             f"fmt chunk declares block_align {block_align}, not {n_channels} channels x {bits} bits / 8"
         )
 
-    wav = WavFile(read, *chunk, format_tag, n_channels, int(sample_rate), bits)
-    if format_tag == WAVE_FORMAT_IEEE_FLOAT:
-        width = bits // 8
-        spans = _spans(wav.n_frames * n_channels)
-        scratch = _mapped_bytes(spans[0][1] * width) if spans else None
-        for lo, hi in spans:
-            floats = np.frombuffer(wav._bytes(lo * width, hi * width, scratch), dtype=f"<f{width}")
-            if not np.isfinite(floats).all():
-                raise WavDecodeError("data chunk holds NaN or Inf samples")
-    return wav
+    return WavFile(read, *chunk, format_tag, n_channels, int(sample_rate), bits)
 
 
 def decode_wav(data) -> AudioBuffer:
@@ -349,7 +331,7 @@ def decode_wav(data) -> AudioBuffer:
         UnsupportedWavError: valid container with an unhandled codec.
     """
     wav = parse_wav(data)
-    # Integer PCM lies in [-1, 1) by construction and parse_wav checked float data.
+    # Integer PCM lies in [-1, 1) by construction and frames checked float data.
     return AudioBuffer(wav.frames(0, wav.n_frames), wav.sample_rate_hz, _known_finite=True)
 
 
@@ -417,23 +399,15 @@ def _branch_groups(up: int, down: int, n_branches: int):
     return groups
 
 
-def _raw_scratch(source, n_frames: int) -> np.ndarray | None:
-    """Mapped scratch (see _mapped_bytes) for n_frames of a WavFile's bytes; None for an AudioBuffer."""
-    return _mapped_bytes(n_frames * source.block_align) if isinstance(source, WavFile) else None
-
-
-def _faded_span(source, ramp: np.ndarray, lo: int, hi: int, out: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
-    """Frames lo..hi of source, with zeros outside it and its first and last len(ramp) frames faded, in out.
-
-    raw is the scratch source.frames reads a file's bytes into (see _raw_scratch).
-    """
+def _faded_span(source, ramp: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Frames lo..hi of source, with zeros outside it and its first and last len(ramp) frames faded, in out."""
     n_in, n_fade = source.n_frames, len(ramp)
     seg = out[: hi - lo]
     a = min(max(lo, 0), hi)
     b = max(min(hi, n_in), a)
     seg[: a - lo] = 0.0
     seg[b - lo :] = 0.0
-    source.frames(a, b, out=seg[a - lo : b - lo], raw=raw)
+    source.frames(a, b, out=seg[a - lo : b - lo])
     for at, piece in ((0, ramp), (n_in - n_fade, ramp[::-1])):
         c, d = max(a, at), min(b, at + n_fade)
         if c < d:
@@ -536,9 +510,8 @@ def resample(source, target_rate: int, window: tuple[int, int] | None = None) ->
     if target_rate == source.sample_rate_hz:
         spans = _spans(n_in)
         scratch = _mapped_empty(spans[0][1])  # mapped, as run's scratch below is
-        raw = _raw_scratch(source, spans[0][1])
         for lo, hi in spans:
-            seg = source.frames(lo, hi, out=scratch, raw=raw)
+            seg = source.frames(lo, hi, out=scratch)
             peaks.append(_abs_peak(seg))
             _keep(out, first, lo, seg)
         return _with_peak(AudioBuffer(out, source.sample_rate_hz, _known_finite=True), peaks)
@@ -560,19 +533,17 @@ def resample(source, target_rate: int, window: tuple[int, int] | None = None) ->
 
     def run(block_starts):
         # Scratch per chunk: at most RESAMPLE_BLOCK_PERIODS x 4 taps doubles (2 MB) of kernel
-        # rows, one block's input span and, for a WavFile, its bytes, and one block's output
-        # periods, a row each. Each is mapped (see _mapped_empty), so its pages go back to
-        # the OS when the call ends.
+        # rows, one block's input span and one block's output periods, a row each. Each is
+        # mapped (see _mapped_empty), so its pages go back to the OS when the call ends.
         tmp = _mapped_empty(RESAMPLE_BLOCK_PERIODS * max(len(kernel) for *_, kernel in groups))
         span = _mapped_empty(max(0, block_periods - 1) * down + width)
-        raw = _raw_scratch(source, len(span))
         table = _mapped_empty(block_periods * cols).reshape(block_periods, cols)
         # Period k's input row: span[k * down : k * down + width], one view made once per chunk.
         windows = np.ndarray((block_periods, width), buffer=span, strides=(down * 8, 8))
         for p0 in block_starts:
             rows = min(RESAMPLE_BLOCK_PERIODS, n_per - p0)
             lo = p0 * down - RESAMPLE_TAPS_PER_PHASE // 2
-            _faded_span(source, ramp, lo, lo + (rows - 1) * down + width, span, raw)
+            _faded_span(source, ramp, lo, lo + (rows - 1) * down + width, span)
             # An overflow is an error raised below, not a warning printed by whichever thread ran the block.
             with np.errstate(over="ignore", invalid="ignore"):
                 for offset, ja, jb, kernel in groups:

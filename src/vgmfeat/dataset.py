@@ -250,12 +250,12 @@ def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
     """Open, parse and preprocess one WAV file, then return last(clip).
 
     The file is opened at the read stage and only its headers are read at
-    the decode stage, where a bad header or a NaN or Inf float sample fails.
-    The samples stay in the file until resample's blocks read and decode
-    them span by span with positional reads; a file that shrinks meanwhile
-    fails at the preprocess stage. Where the OS has no positional reads
-    (Windows), or the file has no offsets (a pipe), its bytes are read whole
-    at the read stage instead. Any failure is re-raised as TrackError
+    the decode stage, where a bad header fails. The samples stay in the file
+    until resample's blocks read, decode and check them span by span with
+    positional reads; a NaN or Inf float sample, or a file that shrinks
+    meanwhile, fails at the preprocess stage. Where the OS has no positional
+    reads (Windows), or the file has no offsets (a pipe), its bytes are read
+    whole at the read stage instead. Any failure is re-raised as TrackError
     carrying the track path and the pipeline stage that broke; `last_stage`
     names the stage `last` runs. The file is closed before `last` runs, and
     once it returns, the heap it freed goes back to the OS

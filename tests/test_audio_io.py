@@ -293,6 +293,21 @@ class TestDecodeWav:
             with pytest.raises(WavDecodeError, match="NaN or Inf"):
                 decode_wav(wav_bytes(payload, 3, 1, 48000, bits))
 
+    def test_parse_reads_only_the_chunk_headers(self, monkeypatch):
+        # 10 s of float32 stereo is a 3.8 MB data chunk; its samples are read and checked by frames(), not here.
+        x = np.random.default_rng(9).uniform(-1.0, 1.0, (10 * 48000, 2)).astype("<f4")
+        real_preadv, got = os.preadv, []
+
+        def preadv(fd, buffers, offset):
+            got.append(real_preadv(fd, buffers, offset))
+            return got[-1]
+
+        with on_disk(wav_bytes(x.tobytes(), 3, 2, 48000, 32)) as file:
+            monkeypatch.setattr(os, "preadv", preadv)
+            wav = parse_wav(file)
+            assert 0 < sum(got) < 1024
+            assert np.array_equal(wav.frames(0, wav.n_frames), x.mean(axis=1, dtype=np.float64))
+
 
 class TestDecodeWavRobustness:
     """decode_wav returns an AudioBuffer or raises VgmfeatError, whatever the bytes, and the same from a file."""
@@ -389,9 +404,9 @@ class TestResample:
     def test_every_block_runs_once(self, cores, monkeypatch, block_pool):
         real_span, starts = audio_io._faded_span, []
 
-        def span(source, ramp, lo, hi, out, raw):
+        def span(source, ramp, lo, hi, out):
             starts.append(lo)
-            return real_span(source, ramp, lo, hi, out, raw)
+            return real_span(source, ramp, lo, hi, out)
 
         monkeypatch.setattr(audio_io, "_cores", lambda: cores)
         monkeypatch.setattr(audio_io, "_faded_span", span)
@@ -409,12 +424,12 @@ class TestResample:
     def test_chunk_error_is_raised_once_every_chunk_has_ended(self, monkeypatch, block_pool):
         real_span, ran = audio_io._faded_span, []
 
-        def span(source, ramp, lo, hi, out, raw):
+        def span(source, ramp, lo, hi, out):
             if lo < 0:  # the first block, whichever chunk takes it
                 raise ZeroDivisionError
             time.sleep(0.02)  # the other chunk is still running when the first block fails
             ran.append(lo)
-            return real_span(source, ramp, lo, hi, out, raw)
+            return real_span(source, ramp, lo, hi, out)
 
         monkeypatch.setattr(audio_io, "_cores", lambda: 2)
         monkeypatch.setattr(audio_io, "_faded_span", span)
@@ -454,6 +469,38 @@ class TestResample:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
         assert len(block_pool.futures) == 8 * 10 * 3 and all(future.done() for future in block_pool.futures)
+
+    def test_racing_callers_each_get_all_their_blocks_from_one_file(self, monkeypatch, block_pool):
+        # Six threads resample one parsed file at once: three through the pool's chunks, three on their own
+        # thread at the file's rate. Every reading thread, a pool thread included, has byte scratch of its own.
+        # At 44.1 -> 48 kHz a block reads 0.6 MB of this file, wide enough that shared scratch gets overwritten.
+        monkeypatch.setattr(audio_io, "_cores", lambda: 3)
+        ints = np.random.default_rng(10).integers(-2**15, 2**15, (4 * 147 * RESAMPLE_BLOCK_PERIODS + 3, 2))
+        data = wav_bytes(pcm_bytes(ints, 16), 1, 2, 44100, 16)
+        x = decode_wav(data).samples
+        wants = {48000: padded_gemm(x, 44100, 48000), 44100: x}
+        wrong = []
+
+        def caller(wav, rate):
+            for _ in range(10):
+                if not np.array_equal(resample(wav, rate).samples, wants[rate]):
+                    wrong.append(rate)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with on_disk(data) as file:
+                wav = parse_wav(file)
+                threads = [threading.Thread(target=caller, args=(wav, rate)) for rate in [48000, 44100] * 3]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(block_pool.futures) == 3 * 10 * 3 and all(future.done() for future in block_pool.futures)
 
     @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
     def test_forked_child_resamples_on_a_pool_of_its_own(self):

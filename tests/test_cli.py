@@ -328,6 +328,30 @@ class TestExtractCommand:
                                            "data chunk cut short: the file shrank after its header was read\n")
         assert {p: p.read_bytes() for p in out.rglob("*")} == before
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("rate", [44100, 48000], ids=["polyphase", "equal-rate"])
+    def test_non_finite_float_sample_fails_its_track_wherever_it_sits(self, tmp_path, capsys, rate, jobs):
+        # 8 s of float32 stereo and 1 s clips: the clip's rows come from 3.5-4.5 s, and the frame at 7 s lies
+        # in a resampler block (or, at 48 kHz, a span of the equal-rate path) that holds none of them.
+        x = np.random.default_rng(12).uniform(-0.5, 0.5, (8 * rate, 2)).astype("<f4")
+        wav, out = tmp_path / "bad.wav", tmp_path / "o"
+        (tmp_path / "good.wav").write_bytes(wav_bytes(x.tobytes(), 3, 2, rate, 32))
+        wav.write_bytes(wav_bytes(x.tobytes(), 3, 2, rate, 32))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,game,genre,title\ngood.wav,g,action_rpg,t\nbad.wav,g,action_rpg,t\n")
+        args = ["extract", "--manifest", str(manifest), "--out", str(out), "--clip-seconds", "1", "--jobs", jobs]
+        assert cli.main(args) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*")}
+        capsys.readouterr()
+        for at, value in [((0, 0), np.nan), ((7 * rate, 1), np.inf), ((-1, -1), -np.inf)]:
+            bad = x.copy()
+            bad[at] = value
+            wav.write_bytes(wav_bytes(bad.tobytes(), 3, 2, rate, 32))
+            assert cli.main(args) == 2, at
+            assert capsys.readouterr().err == (f"error [extract]: {wav}: preprocess: "
+                                               "data chunk holds NaN or Inf samples\n")
+            assert {p: p.read_bytes() for p in out.rglob("*")} == before
+
     def test_reading_the_whole_file_where_there_are_no_positional_reads_gives_the_same_table(
             self, small_corpus, tmp_path, monkeypatch):
         real_parse, sources = dataset.parse_wav, []

@@ -368,6 +368,33 @@ class TestTrackMemory:
         over = self.peak_over_bound(tmp_path, monkeypatch, 44100, 1, 16, 240, chunk_mb=5)
         assert over < 2**20, f"{over / 2**20:.2f} MB over"
 
+    def test_no_track_scratch_outlives_its_track(self, tmp_path, monkeypatch):
+        # (rate, channels, bits, format tag): each track after the first reads wider byte spans than the one
+        # before, so byte scratch kept from one track to the next would have to grow. At 48 kHz the calling
+        # thread reads the file itself, in resample's equal-rate path.
+        layouts = [(44100, 1, 16, 1), (44100, 2, 16, 1), (44100, 2, 24, 1), (48000, 2, 32, 3)]
+        paths = []
+        for k, (rate, channels, bits, tag) in enumerate(layouts):
+            x = np.random.default_rng(k).uniform(-0.5, 0.5, (4 * rate, channels))
+            payload = x.astype("<f4").tobytes() if tag == 3 else pcm_bytes(np.round(x * 2 ** (bits - 1)), bits)
+            paths.append(tmp_path / f"track{k}.wav")
+            paths[-1].write_bytes(wav_bytes(payload, tag, channels, rate, bits))
+        # Every buffer made on the heap, where tracemalloc sees it, not in mappings.
+        monkeypatch.setattr(audio_io, "_mapped_empty", np.empty, raising=False)
+        monkeypatch.setattr(audio_io, "_cores", lambda: 2)
+        pre = PreprocessSpec(clip_duration_s=1.0)
+        dataset.process_track(paths[0], pre, "x", lambda clip: None)  # the pool's threads start before tracing
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            held = []
+            for path in paths[1:]:
+                dataset.process_track(path, pre, "x", lambda clip: None)
+                held.append(tracemalloc.get_traced_memory()[0] - start)
+        finally:
+            tracemalloc.stop()
+        assert all(size < 64 * 2**10 for size in held), held
+
 
 class TestSummarizeByGenre:
     def test_single_track_per_genre(self):
