@@ -66,12 +66,16 @@ class AudioBuffer:
     max|y| over the whole resampled track y, rows outside the window it
     returns included, and only preprocess, which calls resample, reads it.
     Every other buffer, the clip preprocess returns included, has None.
+    `_handed_over` is internal too: dataset.process_track sets it on the
+    clip it hands to its last stage, and spectral.stft gives a marked clip's
+    pages back to the OS as it reads them. Every other buffer has False.
     """
 
     samples: np.ndarray
     sample_rate_hz: int
     _known_finite: InitVar[bool] = False
     _peak: float | None = field(default=None, init=False, repr=False, compare=False)
+    _handed_over: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self, _known_finite):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -139,9 +143,10 @@ def _mapped_empty(n: int) -> np.ndarray:
     """np.empty(n) in a private anonymous memory mapping of its own, outside the C heap.
 
     resample puts its output there, and preprocess's clip is that output:
-    the clip is the one per-track buffer that lives through the analysis. In
-    glibc's heap it could sit above freed per-track buffers and split the
-    freed space, which the analysis's 11.5 MB arrays then did not fit: glibc
+    the clip is the one per-track buffer handed to the analysis, whose STFT
+    gives its pages back as it reads them (see spectral.stft). In glibc's
+    heap it could sit above freed per-track buffers and split the freed
+    space, which the analysis's 11.5 MB arrays then did not fit: glibc
     mapped fresh pages for them while the hole stayed resident, and
     `report --jobs 2` peaked about 7 MB higher. resample's per-thread
     scratch is mapped too: freed into a thread's heap arena, it stayed
@@ -179,8 +184,8 @@ class WavFile:
     into byte scratch of its own, which lives as long as the WavFile.
     frames(lo, hi) reads, decodes, checks and mixes down any span of frames
     on demand. parse_wav has checked the header, so frames() fails only on
-    a float sample that is NaN or Inf, or if the file shrank since: either
-    raises WavDecodeError.
+    a float sample that is NaN or Inf, on float-64 channels whose mixdown
+    overflows, or if the file shrank since: each raises WavDecodeError.
     """
 
     def __init__(self, read, data_at: int, data_size: int, format_tag: int, n_channels: int,
@@ -200,7 +205,8 @@ class WavFile:
         Integer samples are scaled by a power of two, which is exact in
         float64: 8-bit unsigned samples as (b - 128) / 128, 16-, 24- and
         32-bit signed ones by 1/2^(bits-1). Float samples, 32- or 64-bit,
-        convert exactly, and a NaN or Inf among them raises WavDecodeError.
+        convert exactly, and a NaN or Inf among them raises WavDecodeError,
+        as does a float-64 frame whose channels sum past the float range.
         Each frame's value depends on that frame alone, so any split into
         spans gives the same samples. The result goes into out[:hi - lo] when
         out is given.
@@ -229,7 +235,10 @@ class WavFile:
             if not np.isfinite(x).all():
                 raise WavDecodeError("data chunk holds NaN or Inf samples")
         if c > 1:
-            x.reshape(n, c).mean(axis=1, out=out)
+            with np.errstate(over="ignore"):  # float-64 channels near the float range can sum to Inf
+                x.reshape(n, c).mean(axis=1, out=out)
+            if self.bits == 64 and not np.isfinite(out).all():
+                raise WavDecodeError("channel mixdown overflows: float samples sum past the float64 range")
         return out
 
 

@@ -167,9 +167,11 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     feature_names(spec.n_mfcc) order, and series maps feature kind to the
     per-frame FrameSeries behind its aggregates.
 
-    The magnitude spectrogram is the one clip-sized array: the extractors that
-    read the magnitude run first, then it is squared in place into the power
-    that chroma and the mel bands read. Elementwise steps and per-frame
+    The magnitude spectrogram is the one spectrogram-sized array: the
+    extractors that read the magnitude run first, then it is squared in
+    place into the power that chroma and the mel bands read. Only the ZCR
+    and the STFT read the clip, so a handed-over one goes back to the OS as
+    the STFT reads it (see stft). Elementwise steps and per-frame
     reductions (the STFT, the onset flux) run in frame blocks; the matrix
     products (centroid, chroma fold, mel bank) take the whole spectrogram,
     since splitting one by frame columns changes the low bits of its sums.
@@ -258,8 +260,9 @@ def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
     whole at the read stage instead. Any failure is re-raised as TrackError
     carrying the track path and the pipeline stage that broke; `last_stage`
     names the stage `last` runs. The file is closed before `last` runs, and
-    once it returns, the heap it freed goes back to the OS
-    (release_free_heap).
+    `last` owns the clip (AudioBuffer._handed_over), whose samples read as
+    zeros once an STFT has read them. Once `last` returns, the heap it
+    freed goes back to the OS (release_free_heap).
     """
     stage = "read"
     try:
@@ -271,6 +274,7 @@ def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
             clip = preprocess(wav, pre)
         del source, wav  # the file is closed, and any bytes read from it die here, before `last` runs
         stage = last_stage
+        clip._handed_over = True
         result = last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:
         raise TrackError(str(path), stage, exc) from exc

@@ -1,5 +1,6 @@
 """STFT engine and mel filterbank underlying every spectral feature."""
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,13 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
     is padded whole. Blocks cannot move a bit, as every step is per frame; a
     matrix product over frames could not be split so, since its sums change
     their low bits with the operand's shape.
+
+    A handed-over clip (AudioBuffer._handed_over) that fills a mapping of
+    its own (audio_io._mapped_empty) goes back to the OS as it is read:
+    after each block, the whole pages below the first sample a later block
+    reads are released (MADV_DONTNEED) and read as zeros from then on. No
+    other buffer, no clip padded whole, and nothing without MADV_DONTNEED
+    (Windows) is released.
     """
     x = buf.samples
     if len(x) == 0:
@@ -93,9 +101,13 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
     n_fft, hop = params.n_fft, params.hop
     n_frames = 1 + len(x) // hop
     half = n_fft // 2
+    # np.frombuffer's base is the mapping (numpy 1.x) or a memoryview of it (numpy 2.x).
+    mapping = getattr(x.base, "obj", x.base) if buf._handed_over and hasattr(mmap, "MADV_DONTNEED") else None
+    if not isinstance(mapping, mmap.mmap) or len(mapping) != x.nbytes:
+        mapping = None
     if len(x) <= half:
         x = np.pad(x, half, mode="reflect" if len(x) > 1 else "constant")
-        half = 0
+        half, mapping = 0, None
     window = make_window(params.window, n_fft)
     mag = np.empty((n_frames, n_fft // 2 + 1))
     windowed = np.empty((min(STFT_BLOCK_FRAMES, n_frames), n_fft))
@@ -113,6 +125,11 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
         frames = np.lib.stride_tricks.sliding_window_view(samples, n_fft)[::hop]
         block = np.multiply(frames[: f1 - f0], window, out=windowed[: f1 - f0])
         np.abs(np.fft.rfft(block, axis=1), out=mag[f0:f1])
+        # Its frames are in the scratch now. Later blocks read from f1*hop - half on, except that
+        # a last block's right edge reflects from n-1-half, which can lie below it.
+        drop = 8 * min(f1 * hop - half, len(x) - 1 - half) // mmap.PAGESIZE * mmap.PAGESIZE
+        if mapping is not None and f1 < n_frames and drop > 0:
+            mapping.madvise(mmap.MADV_DONTNEED, 0, drop)
     return Spectrogram(mag.T, params, buf.sample_rate_hz, "magnitude")
 
 

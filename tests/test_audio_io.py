@@ -180,7 +180,12 @@ class TestDecodeWav:
         values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=bits),
                                     min_size=channels, max_size=64 * channels))
         payload = np.array(values[: len(values) - len(values) % channels], dtype=f"<f{bits // 8}").tobytes()
-        want = ieee_float_two_pass(payload, bits).reshape(-1, channels).mean(axis=1)
+        with np.errstate(over="ignore"):
+            want = ieee_float_two_pass(payload, bits).reshape(-1, channels).mean(axis=1)
+        if not np.isfinite(want).all():  # float-64 channels that sum past the float range
+            with pytest.raises(WavDecodeError, match="overflows"):
+                decode_wav(wav_bytes(payload, 3, channels, 44100, bits))
+            return
         got = decode_wav(wav_bytes(payload, 3, channels, 44100, bits)).samples
         assert np.array_equal(got, want)
 
@@ -292,6 +297,29 @@ class TestDecodeWav:
             payload = np.array([0.25, np.nan, np.inf], dtype=f"<f{bits // 8}").tobytes()
             with pytest.raises(WavDecodeError, match="NaN or Inf"):
                 decode_wav(wav_bytes(payload, 3, 1, 48000, bits))
+
+    def test_float64_mixdown_that_overflows_raises_without_a_warning(self):
+        # Each sample is finite, but 1.7e308 + 1.7e308 is not: the mixdown's sum overflows before its division.
+        payload = np.array([[0.25, -0.5], [1.7e308, 1.7e308], [-1.0, 0.5]], dtype="<f8").tobytes()
+        data = wav_bytes(payload, 3, 2, 48000, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WavDecodeError, match="channel mixdown overflows"):
+                decode_wav(data)
+            with on_disk(data) as file:
+                wav = parse_wav(file)
+                assert np.array_equal(wav.frames(0, 1), [-0.125])  # a span without the frame still decodes
+                with pytest.raises(WavDecodeError, match="channel mixdown overflows"):
+                    wav.frames(1, 2)
+
+    def test_largest_finite_float_samples_mix_down_where_their_mean_is_finite(self):
+        # float-32 samples cannot overflow a float-64 sum, and a mean of opposite extremes is exact.
+        big32 = float(np.finfo(np.float32).max)
+        buf = decode_wav(wav_bytes(np.array([[big32, big32, big32]], dtype="<f4").tobytes(), 3, 3, 48000, 32))
+        assert buf.samples.tolist() == [big32]
+        big64 = float(np.finfo(np.float64).max)
+        buf = decode_wav(wav_bytes(np.array([[big64, -big64]], dtype="<f8").tobytes(), 3, 2, 48000, 64))
+        assert buf.samples.tolist() == [0.0]
 
     def test_parse_reads_only_the_chunk_headers(self, monkeypatch):
         # 10 s of float32 stereo is a 3.8 MB data chunk; its samples are read and checked by frames(), not here.

@@ -352,6 +352,24 @@ class TestExtractCommand:
                                                "data chunk holds NaN or Inf samples\n")
             assert {p: p.read_bytes() for p in out.rglob("*")} == before
 
+    @pytest.mark.parametrize("rate", [44100, 48000], ids=["polyphase", "equal-rate"])
+    def test_float64_mixdown_overflow_fails_its_track_with_one_line_and_no_warning(self, tmp_path, rate):
+        # A fresh interpreter, so that a numpy RuntimeWarning would reach its stderr as it would a user's.
+        x = np.random.default_rng(13).uniform(-0.5, 0.5, (2 * rate, 2))
+        wav, out = tmp_path / "loud.wav", tmp_path / "o"
+        wav.write_bytes(wav_bytes(x.astype("<f8").tobytes(), 3, 2, rate, 64))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,game,genre,title\nloud.wav,g,action_rpg,t\n")
+        args = ["-m", "vgmfeat", "extract", "--manifest", str(manifest), "--out", str(out), "--clip-seconds", "1"]
+        assert run_child(args).returncode == 0
+        before = tree(out)
+        x[rate // 3] = 1.7e308  # finite samples whose sum is not
+        wav.write_bytes(wav_bytes(x.astype("<f8").tobytes(), 3, 2, rate, 64))
+        child = run_child(args)
+        assert (child.returncode, child.stderr) == (2, f"error [extract]: {wav}: preprocess: channel mixdown "
+                                                       "overflows: float samples sum past the float64 range\n")
+        assert tree(out) == before
+
     def test_reading_the_whole_file_where_there_are_no_positional_reads_gives_the_same_table(
             self, small_corpus, tmp_path, monkeypatch):
         real_parse, sources = dataset.parse_wav, []

@@ -1,3 +1,4 @@
+import mmap
 import os
 import threading
 import tracemalloc
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vgmfeat import audio_io, dataset
-from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, encode_wav
+from vgmfeat import audio_io, cli, dataset
+from vgmfeat.audio_io import AudioBuffer, PreprocessSpec, encode_wav, parse_wav, preprocess
 from vgmfeat.dataset import (
     AnalysisSpec,
     GenreLabel,
@@ -394,6 +395,116 @@ class TestTrackMemory:
         finally:
             tracemalloc.stop()
         assert all(size < 64 * 2**10 for size in held), held
+
+
+def preprocessed(seconds, pre, rate=44100):
+    """The clip preprocess returns for a click track over a tone, in the mapping resample gave it."""
+    buf = make_click_track(110.0, seconds, rate, rng=np.random.default_rng(25))
+    buf = AudioBuffer(buf.samples + sine(220.0, seconds, rate, 0.2), rate)
+    return preprocess(parse_wav(encode_wav(buf, "pcm16")), pre)
+
+
+def handed_over(clip):
+    clip._handed_over = True
+    return clip
+
+
+def own_mapping(samples):
+    """The mmap that samples fill, which np.frombuffer keeps as its base or behind a memoryview there."""
+    return getattr(samples.base, "obj", samples.base)
+
+
+def resident_bytes(samples):
+    """Rss, from /proc/self/smaps, of the mapping that samples fill."""
+    mapping = own_mapping(samples)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # A flag set on exactly its pages makes the mapping an entry of its own, even if the kernel had
+        # merged it with a neighbouring one; it moves no page in or out.
+        mapping.madvise(mmap.MADV_NOHUGEPAGE)
+    start = samples.ctypes.data
+    with open("/proc/self/smaps") as smaps:
+        lines = iter(smaps.read().splitlines())
+    for line in lines:
+        if line.startswith(f"{start:08x}-"):
+            end = int(line.split()[0].split("-")[1], 16)
+            assert end - start == -(-len(mapping) // mmap.PAGESIZE) * mmap.PAGESIZE, line
+            for field in lines:
+                if field.startswith("Rss:"):
+                    return int(field.split()[1]) * 1024
+    raise AssertionError(f"no smaps entry starts at {start:x}")
+
+
+class TestClipHandover:
+    """A clip that process_track hands to the analysis goes back to the OS as the STFT reads it."""
+
+    @pytest.mark.skipif(not (os.path.exists("/proc/self/smaps") and hasattr(mmap, "MADV_DONTNEED")),
+                        reason="needs /proc/self/smaps and MADV_DONTNEED")
+    def test_only_the_last_blocks_pages_stay_resident(self, tmp_path):
+        path = tmp_path / "track.wav"
+        path.write_bytes(encode_wav(preprocessed(20.0, PreprocessSpec(clip_duration_s=20.0)), "pcm16"))
+        seen = {}
+
+        def last(clip):
+            seen["before"] = resident_bytes(clip.samples)
+            analyze_clip(clip)
+            seen["after"] = resident_bytes(clip.samples)
+            seen["n"] = len(clip.samples)
+
+        dataset.process_track(path, PreprocessSpec(), "analyze", last)
+        n, hop, half, page = seen["n"], StftParams.hop, StftParams.n_fft // 2, mmap.PAGESIZE
+        # The last block's first sample, or the one its right edge reflects from if that is lower.
+        first = min((n // hop) // STFT_BLOCK_FRAMES * STFT_BLOCK_FRAMES * hop - half, n - 1 - half)
+        assert seen["before"] >= 8 * n  # resample wrote every page of the clip
+        assert seen["after"] <= -(-8 * n // page) * page - 8 * first // page * page, seen
+
+    @pytest.mark.parametrize("n_clip", [65536, 65537, 131072, 720000])
+    def test_a_clip_not_handed_over_keeps_its_samples_and_gives_the_same_analysis(self, n_clip):
+        # A clip of 65536 samples ends in a one-frame block that reflects its right edge from a sample just
+        # below its first, on a page boundary: the release must stop below that sample too.
+        pre = PreprocessSpec(clip_duration_s=n_clip / 48000)
+        clip, other = preprocessed(16.0, pre), preprocessed(16.0, pre)
+        assert len(clip.samples) == n_clip and isinstance(own_mapping(clip.samples), mmap.mmap)
+        samples = clip.samples.copy()
+        mag = stft(clip, StftParams()).values
+        row, series = analyze_clip(clip)
+        assert np.array_equal(clip.samples, samples)
+        got_mag = stft(handed_over(other), StftParams()).values
+        assert np.array_equal(got_mag, mag)
+        got_row, got_series = analyze_clip(handed_over(preprocessed(16.0, pre)))
+        assert np.array_equal(got_row, row)
+        assert all(np.array_equal(got_series[kind].values, series[kind].values) for kind in series)
+        if hasattr(mmap, "MADV_DONTNEED"):
+            assert not other.samples[: n_clip // 2].any()  # it was given back, and reads as zeros
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(2048, 512), (256, 64), (256, 96), (1024, 1024)]),
+           blocks=st.integers(1, 4), offset=st.integers(-2, 2))
+    @example(shape=(2048, 512), blocks=1, offset=0)  # a one-frame last block reflecting from below its start
+    def test_handed_over_stft_matches_the_one_of_a_copy(self, shape, blocks, offset):
+        params = StftParams(*shape)
+        n = max(1, blocks * STFT_BLOCK_FRAMES * params.hop + offset)
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        mapped = audio_io._mapped_empty(n)
+        mapped[:] = x
+        got = stft(handed_over(AudioBuffer(mapped, 8000)), params).values
+        assert np.array_equal(got, stft(AudioBuffer(x, 8000), params).values), n
+
+    def test_padded_and_tiny_clips_give_the_bytes_of_a_run_without_release(self, tmp_path, monkeypatch):
+        path = tmp_path / "short.wav"
+        path.write_bytes(encode_wav(preprocessed(6.0, PreprocessSpec(clip_duration_s=6.0)), "pcm16"))
+        (tmp_path / "m.csv").write_text("path,game,genre,title\nshort.wav,g,action_rpg,t\n")
+
+        def outputs(out):
+            assert cli.main(["summarize", "--manifest", str(tmp_path / "m.csv"), "--out", str(out), "--pad-short"]) == 0
+            # A clip of n_fft/2 samples or fewer is padded whole; the ZCR needs n_fft, so only the STFT runs on it.
+            tiny = [dataset.process_track(path, PreprocessSpec(clip_duration_s=n / 48000), "stft",
+                                          lambda clip: stft(clip, StftParams()).values.tobytes())
+                    for n in (1, 2, 1023, 1024)]
+            return {p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}, tiny
+
+        released = outputs(tmp_path / "released")
+        monkeypatch.delattr(mmap, "MADV_DONTNEED", raising=False)  # stft releases nothing, as before the handover
+        assert outputs(tmp_path / "kept") == released
 
 
 class TestSummarizeByGenre:
