@@ -142,17 +142,21 @@ def _round_half_up(x: float) -> int:
 def _mapped_empty(n: int) -> np.ndarray:
     """np.empty(n) in a private anonymous memory mapping of its own, outside the C heap.
 
-    resample puts its output there, and preprocess's clip is that output:
-    the clip is the one per-track buffer handed to the analysis, whose STFT
-    gives its pages back as it reads them (see spectral.stft). In glibc's
-    heap it could sit above freed per-track buffers and split the freed
-    space, which the analysis's 11.5 MB arrays then did not fit: glibc
-    mapped fresh pages for them while the hole stayed resident, and
-    `report --jobs 2` peaked about 7 MB higher. resample's per-thread
-    scratch is mapped too: freed into a thread's heap arena, it stayed
-    resident through the analysis, about 3 MB on `report --jobs 1`. Huge
-    pages are asked for where the OS has them, as numpy does for its own
-    large buffers.
+    These per-track buffers live in one, so the pages of each go back to the
+    OS when it is dropped, whatever glibc's heap keeps:
+    - resample's output, which is preprocess's clip: the analysis's STFT
+      gives its pages back as it reads them (see spectral.stft). In the heap
+      it could sit above freed buffers and split the freed space, and
+      `report --jobs 2` peaked about 7 MB higher.
+    - resample's per-thread scratch: freed into a thread's heap arena, it
+      stayed resident through the analysis, about 3 MB on `report --jobs 1`.
+    - stft's magnitude, which the analysis squares into the power spectrum.
+      Once glibc freed the first 11.5 MB one, its dynamic mmap threshold
+      put every later one on a thread's heap, and its trim threshold rose
+      to 23 MB: about 18 MB of freed heap stayed resident on
+      `report --jobs 2`, even with the heap trimmed after each track.
+    Huge pages are asked for where the OS has them, as numpy does for its
+    own large buffers.
     """
     if not n:
         return np.empty(0)

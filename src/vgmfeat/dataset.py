@@ -2,7 +2,6 @@
 
 import csv
 import enum
-import functools
 import io
 import json
 import os
@@ -167,9 +166,10 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     feature_names(spec.n_mfcc) order, and series maps feature kind to the
     per-frame FrameSeries behind its aggregates.
 
-    The magnitude spectrogram is the one spectrogram-sized array: the
-    extractors that read the magnitude run first, then it is squared in
-    place into the power that chroma and the mel bands read. Only the ZCR
+    The magnitude spectrogram is the one spectrogram-sized array, in a
+    mapping of its own (see stft): the extractors that read the magnitude
+    run first, then it is squared in place into the power that chroma and
+    the mel bands read, and it is unmapped before the MFCC. Only the ZCR
     and the STFT read the clip, so a handed-over one goes back to the OS as
     the STFT reads it (see stft). Elementwise steps and per-frame
     reductions (the STFT, the onset flux) run in frame blocks; the matrix
@@ -184,8 +184,9 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     power = replace(mag, values=np.square(mag.values, out=mag.values), kind="power")
     del mag
     chrom = chroma(power)
-    bank = mel_filterbank(buf.sample_rate_hz, spec.stft.n_fft, spec.n_mels)
-    ceps = mfcc(apply_filterbank(power, bank), spec.n_mfcc)
+    bands = apply_filterbank(power, mel_filterbank(buf.sample_rate_hz, spec.stft.n_fft, spec.n_mels))
+    del power  # the MFCC's log temporaries do not sit beside it
+    ceps = mfcc(bands, spec.n_mfcc)
 
     row = np.concatenate([
         [tempo.bpm, zcr.values.mean(), zcr.values.std(), cent.values.mean(), cent.values.std()],
@@ -220,34 +221,6 @@ def track_path(rec: TrackRecord, base_dir: str | None = None) -> Path:
     return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
 
 
-@functools.cache
-def _malloc_trim():
-    """glibc's malloc_trim, looked up on first use; None where the C library has none."""
-    import ctypes
-
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library handle (Windows)
-        return None
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    return trim
-
-
-def release_free_heap():
-    """Give the C heap's free pages back to the OS, where the C library can (glibc).
-
-    glibc raises its mmap threshold to the largest mapped buffer freed so far
-    (up to 32 MB), so after the first track most numpy buffers come from its
-    heap, and a freed heap block stays resident unless it sits at the top. One
-    track's analysis frees tens of MB that mostly do not; they would stay
-    resident while the next, possibly much longer, track is preprocessed.
-    """
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
-
-
 def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
     """Open, parse and preprocess one WAV file, then return last(clip).
 
@@ -261,8 +234,7 @@ def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
     carrying the track path and the pipeline stage that broke; `last_stage`
     names the stage `last` runs. The file is closed before `last` runs, and
     `last` owns the clip (AudioBuffer._handed_over), whose samples read as
-    zeros once an STFT has read them. Once `last` returns, the heap it
-    freed goes back to the OS (release_free_heap).
+    zeros once an STFT has read them.
     """
     stage = "read"
     try:
@@ -275,12 +247,9 @@ def process_track(path: Path, pre: PreprocessSpec, last_stage: str, last):
         del source, wav  # the file is closed, and any bytes read from it die here, before `last` runs
         stage = last_stage
         clip._handed_over = True
-        result = last(clip)
+        return last(clip)
     except (OSError, ValueError, VgmfeatError) as exc:
         raise TrackError(str(path), stage, exc) from exc
-    del clip  # its pages go back too
-    release_free_heap()
-    return result
 
 
 def extract_track(

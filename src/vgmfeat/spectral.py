@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, _mapped_empty
 
 MEL_HIGH_FREQUENCY_Q = 2595.0
 MEL_BREAK_FREQUENCY_HZ = 700.0
@@ -78,15 +78,18 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
     test suite pins single frames against a direct O(n^2) DFT. Use
     Spectrogram.to_power() for |X[k]|^2.
 
-    The magnitude is one frames x bins array, returned transposed. It is
-    filled on the calling thread in blocks of STFT_BLOCK_FRAMES frames, each
-    windowed into one reused scratch array, so no full-size temporary is made.
-    Interior blocks read their frames straight from the clip; only a block
-    that reaches past either end reflect-pads a copy of the samples it reads.
-    A clip of n_fft/2 samples or fewer, which numpy reflects more than once,
-    is padded whole. Blocks cannot move a bit, as every step is per frame; a
-    matrix product over frames could not be split so, since its sums change
-    their low bits with the operand's shape.
+    The magnitude is one frames x bins array, returned transposed, in a
+    mapping of its own (audio_io._mapped_empty): it never enters the C heap,
+    and its pages go back to the OS when the last array reading it is
+    dropped. It is filled on the calling thread in blocks of
+    STFT_BLOCK_FRAMES frames, each windowed into one reused scratch array,
+    so no full-size temporary is made. Interior blocks read their frames
+    straight from the clip; only a block that reaches past either end
+    reflect-pads a copy of the samples it reads. A clip of n_fft/2 samples
+    or fewer, which numpy reflects more than once, is padded whole. Blocks
+    cannot move a bit, as every step is per frame; a matrix product over
+    frames could not be split so, since its sums change their low bits with
+    the operand's shape.
 
     A handed-over clip (AudioBuffer._handed_over) that fills a mapping of
     its own (audio_io._mapped_empty) goes back to the OS as it is read:
@@ -109,7 +112,7 @@ def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
         x = np.pad(x, half, mode="reflect" if len(x) > 1 else "constant")
         half, mapping = 0, None
     window = make_window(params.window, n_fft)
-    mag = np.empty((n_frames, n_fft // 2 + 1))
+    mag = _mapped_empty(n_frames * (n_fft // 2 + 1)).reshape(n_frames, n_fft // 2 + 1)
     windowed = np.empty((min(STFT_BLOCK_FRAMES, n_frames), n_fft))
     for f0 in range(0, n_frames, STFT_BLOCK_FRAMES):
         f1 = min(f0 + STFT_BLOCK_FRAMES, n_frames)
