@@ -255,8 +255,17 @@ class TestAnalysisMemory:
         mapping = own_mapping(values)
         assert isinstance(mapping, mmap.mmap) and len(mapping) == values.nbytes == mag_bytes
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
-    def test_no_spectrogram_mapping_outlives_the_analysis(self, monkeypatch):
+    def test_mapped_magnitude_has_the_bits_of_a_heap_one(self, monkeypatch):
+        clip, _ = analysis_clip()
+        mapped = stft(clip, StftParams())
+        monkeypatch.setattr(spectral, "_mapped_empty", np.empty)
+        heap = stft(clip, StftParams())
+        assert own_mapping(heap.values) is None
+        np.testing.assert_array_equal(mapped.values, heap.values)
+
+    @staticmethod
+    def spy_on_magnitude_mapping(monkeypatch):
+        """Record the address span of each mapping stft makes for its magnitude."""
         spans = []
 
         def spy(n):
@@ -265,16 +274,43 @@ class TestAnalysisMemory:
             return out
 
         monkeypatch.setattr(spectral, "_mapped_empty", spy)
-        clip, mag_bytes = analysis_clip()
-        analyze_clip(clip)
+        return spans
+
+    @staticmethod
+    def mapped_bytes(lo, hi):
+        """Bytes of [lo, hi) that the entries of /proc/self/smaps cover."""
         with open("/proc/self/smaps") as smaps:
             entries = [[int(a, 16) for a in line.split()[0].split("-")] for line in smaps
                        if line[0] in "0123456789abcdef" and "-" in line.split()[0]]
+        # Mapped in whole, even merged into a neighbouring entry, the span would be covered.
+        return sum(max(0, min(end, hi) - max(start, lo)) for start, end in entries)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    def test_no_spectrogram_mapping_outlives_the_analysis(self, monkeypatch):
+        spans = self.spy_on_magnitude_mapping(monkeypatch)
+        clip, mag_bytes = analysis_clip()
+        analyze_clip(clip)
         assert [hi - lo for lo, hi in spans] == [mag_bytes]
         lo, hi = spans[0]
-        # Mapped in whole, even merged into a neighbouring entry, the magnitude would cover its span.
-        covered = sum(max(0, min(end, hi) - max(start, lo)) for start, end in entries)
+        covered = self.mapped_bytes(lo, hi)
         assert covered < hi - lo, f"{covered} of {hi - lo} bytes still mapped"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    def test_power_is_unmapped_before_the_mfcc(self, monkeypatch):
+        # The MFCC's log temporaries do not sit beside the spectrogram-sized power.
+        spans = self.spy_on_magnitude_mapping(monkeypatch)
+        seen = []
+
+        def mfcc_spy(bands, n_mfcc):
+            lo, hi = spans[0]
+            seen.append((self.mapped_bytes(lo, hi), hi - lo))
+            return mfcc(bands, n_mfcc)
+
+        monkeypatch.setattr(dataset, "mfcc", mfcc_spy)
+        clip, _ = analysis_clip()
+        analyze_clip(clip)
+        [(covered, span)] = seen
+        assert covered < span, f"{covered} of {span} bytes still mapped when the MFCC ran"
 
     # Each extractor's own peak, measured at 0.041 (chroma), 0.004 (centroid), 0.092
     # (tempo: one block of onset flux) and 0.376 (mel bands plus MFCC) magnitudes. Each bound
