@@ -765,6 +765,19 @@ class TestSerialization:
             read_feature_table_csv("".join(lines))
 
 
+# Every family's columns, spelled out: the layout that select_features must keep.
+MFCC_MEAN = ("mfcc_mean_0 mfcc_mean_1 mfcc_mean_2 mfcc_mean_3 mfcc_mean_4 mfcc_mean_5 mfcc_mean_6 "
+             "mfcc_mean_7 mfcc_mean_8 mfcc_mean_9 mfcc_mean_10 mfcc_mean_11 mfcc_mean_12").split()
+MFCC_RANGE = ("mfcc_range_0 mfcc_range_1 mfcc_range_2 mfcc_range_3 mfcc_range_4 mfcc_range_5 mfcc_range_6 "
+              "mfcc_range_7 mfcc_range_8 mfcc_range_9 mfcc_range_10 mfcc_range_11 mfcc_range_12").split()
+MFCC_MEAN_20 = MFCC_MEAN + ("mfcc_mean_13 mfcc_mean_14 mfcc_mean_15 mfcc_mean_16 mfcc_mean_17 "
+                            "mfcc_mean_18 mfcc_mean_19").split()
+MFCC_RANGE_20 = MFCC_RANGE + ("mfcc_range_13 mfcc_range_14 mfcc_range_15 mfcc_range_16 mfcc_range_17 "
+                              "mfcc_range_18 mfcc_range_19").split()
+CHROMA = ("chroma_mean_c chroma_mean_cs chroma_mean_d chroma_mean_ds chroma_mean_e chroma_mean_f chroma_mean_fs "
+          "chroma_mean_g chroma_mean_gs chroma_mean_a chroma_mean_as chroma_mean_b").split()
+
+
 class TestSelectFeatures:
     def test_family_selection(self):
         ds = read_feature_table_csv(write_feature_table_csv(self.make_dataset()))
@@ -774,6 +787,32 @@ class TestSelectFeatures:
         assert all(n.startswith(("tempo", "chroma")) for n in subset.feature_names)
         mfcc_only = select_features(ds, ["mfcc"])
         assert mfcc_only.matrix.shape == (4, 26)
+
+    @pytest.mark.parametrize("n_mfcc, family, columns", [
+        (n, family, columns)
+        for n, mean, ranges in ((13, MFCC_MEAN, MFCC_RANGE), (20, MFCC_MEAN_20, MFCC_RANGE_20))
+        for family, columns in (
+            ("tempo", ["tempo_bpm"]),
+            ("zcr", ["zcr_mean", "zcr_std"]),
+            ("centroid", ["centroid_mean_hz", "centroid_std_hz"]),
+            ("chroma", CHROMA),
+            ("mfcc", mean + ranges),
+            ("mfcc_mean", mean),
+            ("mfcc_range", ranges),
+        )
+    ])
+    def test_each_family_selects_its_columns(self, n_mfcc, family, columns):
+        rng = np.random.default_rng(n_mfcc)
+        names = feature_names(n_mfcc)
+        ds = LabeledDataset(rng.standard_normal((4, len(names))), np.arange(4) % 3, list("abcd"), names)
+        subset = select_features(read_feature_table_csv(write_feature_table_csv(ds)), [family])
+        assert subset.feature_names == columns
+        np.testing.assert_allclose(subset.matrix, ds.matrix[:, [names.index(c) for c in columns]], rtol=1e-8)
+
+    def test_families_keep_the_column_order(self):
+        ds = read_feature_table_csv(write_feature_table_csv(self.make_dataset()))
+        assert select_features(ds, ["centroid", "tempo", "zcr"]).feature_names == [
+            "tempo_bpm", "zcr_mean", "zcr_std", "centroid_mean_hz", "centroid_std_hz"]
 
     def test_unknown_family_rejected(self):
         ds = read_feature_table_csv(write_feature_table_csv(self.make_dataset()))
