@@ -77,7 +77,7 @@ _positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and fin
 _open_unit = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 _families = _checked(
     lambda text: [f.strip() for f in text.split(",") if f.strip()],
-    lambda names: set(names) <= set(FEATURE_FAMILIES),
+    lambda names: names and set(names) <= set(FEATURE_FAMILIES),
     f"comma-separated names from {','.join(FEATURE_FAMILIES)}",
 )
 

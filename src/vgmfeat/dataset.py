@@ -71,14 +71,33 @@ class TrackRecord:
     title: str
 
 
+# The feature layout, described once: each series analyze_clip makes, in its
+# order, as (file key, row suffixes, families).
+# - The row is every family's columns in this order. A family is a run of
+#   columns: for each statistic, (column stem, reducer over frames), one
+#   column per series row, named stem + suffix; suffixes None are _0, _1, ...
+#   over the n_mfcc rows. The tempo column is the estimate, a one-frame series.
+# - A series with a file key is written as series/<NNN>_<stem>_<key>.csv, in
+#   this order; the onset envelope behind the tempo is written, not reduced.
+# - A family name, or the key of a series that more than one family reduces,
+#   is a --features family: it selects the columns whose names start with it.
+_ONE_ROW = ("",)
+FEATURE_LAYOUT = (
+    (None, _ONE_ROW, {"tempo": {"tempo_bpm": np.mean}}),
+    ("zcr", _ONE_ROW, {"zcr": {"zcr_mean": np.mean, "zcr_std": np.std}}),
+    ("centroid", _ONE_ROW, {"centroid": {"centroid_mean_hz": np.mean, "centroid_std_hz": np.std}}),
+    ("chroma", tuple(f"_{pc}" for pc in PITCH_CLASSES), {"chroma": {"chroma_mean": np.mean}}),
+    ("mfcc", None, {"mfcc_mean": {"mfcc_mean": np.mean}, "mfcc_range": {"mfcc_range": np.ptp}}),
+    ("onset", _ONE_ROW, {}),
+)
+FEATURE_FAMILIES = tuple(name for key, _, families in FEATURE_LAYOUT
+                         for name in [key] * (len(families) > 1) + list(families))
+
+
 def feature_names(n_mfcc: int = AnalysisSpec.n_mfcc) -> list:
-    """Columns of analyze_clip's feature row. Frame statistics are the mean,
-    the population std and, for mfcc_range, the per-coefficient max - min."""
-    names = ["tempo_bpm", "zcr_mean", "zcr_std", "centroid_mean_hz", "centroid_std_hz"]
-    names += [f"chroma_mean_{pc}" for pc in PITCH_CLASSES]
-    names += [f"mfcc_mean_{i}" for i in range(n_mfcc)]
-    names += [f"mfcc_range_{i}" for i in range(n_mfcc)]
-    return names
+    """Columns of analyze_clip's feature row (see FEATURE_LAYOUT)."""
+    return [stem + suffix for _, suffixes, families in FEATURE_LAYOUT for stats in families.values()
+            for stem in stats for suffix in suffixes or [f"_{i}" for i in range(n_mfcc)]]
 
 
 @dataclass
@@ -163,8 +182,8 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     """Run every extractor on a preprocessed clip.
 
     Returns (row, series): row is the float64 feature vector in
-    feature_names(spec.n_mfcc) order, and series maps feature kind to the
-    per-frame FrameSeries behind its aggregates.
+    feature_names(spec.n_mfcc) order, and series maps each file key of
+    FEATURE_LAYOUT to its per-frame FrameSeries, in the layout's order.
 
     The magnitude spectrogram is the one spectrogram-sized array, in a
     mapping of its own (see stft): the extractors that read the magnitude
@@ -188,20 +207,13 @@ def analyze_clip(buf: AudioBuffer, spec: AnalysisSpec = AnalysisSpec()):
     del power  # the MFCC's log temporaries do not sit beside it
     ceps = mfcc(bands, spec.n_mfcc)
 
-    row = np.concatenate([
-        [tempo.bpm, zcr.values.mean(), zcr.values.std(), cent.values.mean(), cent.values.std()],
-        chrom.values.mean(axis=1),
-        ceps.values.mean(axis=1),
-        ceps.values.max(axis=1) - ceps.values.min(axis=1),
-    ])
-    series = {
-        "zcr": zcr,
-        "centroid": cent,
-        "chroma": chrom,
-        "mfcc": ceps,
-        "onset": FrameSeries(tempo.onset_envelope[None, :], "onset"),
-    }
-    return row, series
+    # The series in FEATURE_LAYOUT order; the tempo estimate is a series of one frame.
+    made = (FrameSeries(np.array([[tempo.bpm]]), "bpm"), zcr, cent, chrom, ceps,
+            FrameSeries(tempo.onset_envelope[None, :], "onset"))
+    layout = list(zip(made, FEATURE_LAYOUT, strict=True))
+    row = np.concatenate([reduce(fs.values, axis=1) for fs, (_, _, families) in layout
+                          for stats in families.values() for reduce in stats.values()])
+    return row, {key: fs for fs, (key, _, _) in layout if key}
 
 
 def fs_name(name: str) -> str:
@@ -327,6 +339,8 @@ def read_feature_table_csv(text: str) -> LabeledDataset:
                 values.append(float(cell))
             except ValueError as exc:
                 raise ValueError(f"feature table row {row_no}, column {name}: {exc}") from None
+            if not np.isfinite(values[-1]):
+                raise ValueError(f"feature table row {row_no}, column {name}: {cell!r} is not finite")
         rows.append(values)
         try:
             labels.append(int(GenreLabel.from_token(row[-1])))
@@ -386,12 +400,8 @@ def frame_series_csv(series: FrameSeries) -> str:
     return ",".join(["frame"] + cols) + "\n" + body
 
 
-# A family selects every feature column whose name starts with the family name.
-FEATURE_FAMILIES = ("tempo", "zcr", "centroid", "chroma", "mfcc", "mfcc_mean", "mfcc_range")
-
-
 def select_features(ds: LabeledDataset, families) -> LabeledDataset:
-    """Restrict a dataset to the named feature families (see FEATURE_FAMILIES)."""
+    """Restrict a dataset to the named feature families (see FEATURE_LAYOUT)."""
     unknown = [f for f in families if f not in FEATURE_FAMILIES]
     if unknown:
         raise ValueError(f"unknown feature families {unknown}, expected {sorted(FEATURE_FAMILIES)}")

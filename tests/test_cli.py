@@ -527,6 +527,28 @@ class TestClassifyCommand:
         assert rc == 0
         assert json.loads((out / "report.json").read_text())["accuracy"] == 1.0
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_fails_and_leaves_out_as_it_was(self, tmp_path, capsys, cell):
+        from vgmfeat.dataset import LabeledDataset, write_feature_table_csv
+
+        rng = np.random.default_rng(56)
+        labels = np.arange(9) % 3
+        ds = LabeledDataset(rng.standard_normal((9, 43)), labels, [f"t{i}" for i in range(9)], feature_names())
+        csv_path = tmp_path / "features.csv"
+        csv_path.write_text(write_feature_table_csv(ds))
+        out = tmp_path / "cls"
+        assert cli.main(["classify", "--features-csv", str(csv_path), "--out", str(out), "--k", "1"]) == 0
+        before = {path: path.read_bytes() for path in out.iterdir()}
+        lines = csv_path.read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[1 + feature_names().index("mfcc_mean_3")] = cell
+        lines[1] = ",".join(cells)  # t0, which the default split trains on
+        csv_path.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli.main(["classify", "--features-csv", str(csv_path), "--out", str(out), "--k", "1"]) == 2
+        assert f"feature table row 2, column mfcc_mean_3: '{cell}' is not finite" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in out.iterdir()} == before
+
     def test_needs_some_input(self, tmp_path, capsys):
         rc = cli.main(["classify", "--out", str(tmp_path / "x")])
         assert rc == 1
@@ -915,14 +937,18 @@ class TestUsageErrors:
         if rc:
             assert "needs at least 16896 (0.352 s)" in capsys.readouterr().err
 
+    # An empty list of families would select every column.
+    @pytest.mark.parametrize("families", ["tempo,bogus", "", ",", " , "])
     @pytest.mark.parametrize("command", ["classify", "report"])
-    def test_unknown_feature_family_before_extraction(self, small_corpus, tmp_path, capsys, command):
+    def test_unknown_feature_family_before_extraction(self, small_corpus, tmp_path, monkeypatch, capsys, command,
+                                                      families):
+        monkeypatch.setattr(dataset, "parse_wav", lambda data: pytest.fail("a track was read"))
         out = tmp_path / "out"
         rc = cli.main([command, "--manifest", str(small_corpus / "manifest.csv"), "--out", str(out),
-                       "--features", "tempo,bogus"])
+                       "--features", families])
         assert rc == 1
-        assert "--features" in capsys.readouterr().err
-        assert not (out / "features.csv").exists()
+        assert "--features: must be comma-separated names from tempo,zcr," in capsys.readouterr().err
+        assert not out.exists()
 
     # 9 tracks, 3 per genre: the default split trains on 6, each leave-one-out fold on 8.
     # A header-only manifest has no tracks to split.
